@@ -23,7 +23,7 @@ from .k0 import GradedRankClass, graded_rank, hilbert_table, verify_theorem_k0
 from .modules import (
     IdempotentPresentation,
     conjugator,
-    filtration_idempotent,
+    filtration_walk,
     filtration_window,
     window_index,
 )
@@ -57,6 +57,8 @@ def eval_ring_expression(ring, text: str):
         tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
     except SyntaxError as exc:
         raise JobSyntaxError(f"expression: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise JobSyntaxError("expression: nested too deeply or too large") from None
 
     def ev(node):
         if isinstance(node, ast.Expression):
@@ -98,7 +100,10 @@ def eval_ring_expression(ring, text: str):
                 raise JobValidationError(f"expression: {exc}") from None
         raise JobValidationError("expression: unsupported syntax")
 
-    return ev(tree)
+    try:
+        return ev(tree)
+    except (RecursionError, MemoryError):
+        raise JobSyntaxError("expression: nested too deeply or too large") from None
 
 
 def _load_context(args):
@@ -249,17 +254,11 @@ def cmd_filtration(args):
     v = ring.cone.interior_vector()
     k = max(window_index(pres, v), args.window_k or 0)
     window = filtration_window(ring, v, k)
-    dec = pres.decomposition
-    quotients = []
-    prev = filtration_idempotent(pres, window[0], dec)
-    rows = [(window[0], graded_rank(prev))]
-    for a in window[1:]:
-        cur = filtration_idempotent(pres, a, dec)
-        quot = IdempotentPresentation(ring, pres.shifts, cur.matrix.sub(prev.matrix))
-        rows.append((a, graded_rank(quot)))
-        prev = cur
-    for a, cls in rows:
-        quotients.append({"point": list(a), "class": cls.serialize()})
+    rows = [
+        (a, step.quotient_class)
+        for a, step in filtration_walk(pres, window, graded_rank)
+    ]
+    quotients = [{"point": list(a), "class": cls.serialize()} for a, cls in rows]
     doc = {
         "command": "filtration",
         "input": label,

@@ -25,7 +25,15 @@ from itertools import combinations, product
 
 from . import linalg
 from .errors import InternalCheckError
-from .scalars import QQ, QuadraticField, QuadraticReal, RationalField, sqrt_rational_approx
+from .scalars import (
+    QQ,
+    QuadraticField,
+    QuadraticReal,
+    RationalField,
+    rational_sign,
+    sqrt_rational_approx,
+    surd_sign,
+)
 
 LatticePoint = tuple[int, ...]
 
@@ -269,23 +277,44 @@ class Cone:
     def is_full_dimensional(self) -> bool:
         return linalg.rank([list(g) for g in self.generators], self.field) == self.n
 
-    def contains(self, point) -> bool:
+    @cached_property
+    def _integer_facets(self):
+        """Each facet normal, scaled by a positive factor, as integer vectors
+        (p, q) standing for p + q*sqrt(d); q is None over the rationals."""
+        if isinstance(self.field, RationalField):
+            return tuple((_clear_to_integers(h), None) for h in self.facets)
+        out = []
+        for h in self.facets:
+            ints = _clear_to_integers([f for x in h for f in (x.a, x.b)])
+            out.append((ints[0::2], ints[1::2]))
+        return tuple(out)
+
+    def _facet_signs(self, point):
+        """Sign of h . point for each facet normal h, lazily.
+
+        Integer points are decided in integer arithmetic; points with field
+        entries go through the field.
+        """
         if len(point) != self.n:
             raise ValueError("dimension mismatch")
-        vec = [self.field.coerce(x) for x in point]
-        return all(
-            self.field.sign(_field_dot_field(h, vec, self.field)) >= 0
-            for h in self.facets
-        )
+        if all(type(x) is int for x in point):
+            for p, q in self._integer_facets:
+                a = idot(p, point)
+                if q is None:
+                    yield rational_sign(a)
+                else:
+                    yield surd_sign(a, idot(q, point), self.field.d)
+        else:
+            field = self.field
+            vec = [field.coerce(x) for x in point]
+            for h in self.facets:
+                yield field.sign(_field_dot_field(h, vec, field))
+
+    def contains(self, point) -> bool:
+        return all(s >= 0 for s in self._facet_signs(point))
 
     def contains_strictly(self, point) -> bool:
-        if len(point) != self.n:
-            raise ValueError("dimension mismatch")
-        vec = [self.field.coerce(x) for x in point]
-        return all(
-            self.field.sign(_field_dot_field(h, vec, self.field)) > 0
-            for h in self.facets
-        )
+        return all(s > 0 for s in self._facet_signs(point))
 
     @cached_property
     def _pointedness(self):

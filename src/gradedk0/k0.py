@@ -19,7 +19,7 @@ from .cones import LatticePoint, enumerate_window, vadd, vneg, vsub
 from .errors import InternalCheckError
 from .modules import (
     IdempotentPresentation,
-    filtration_idempotent,
+    filtration_walk,
     filtration_window,
     graded_dimension,
     shift_module,
@@ -263,50 +263,45 @@ def verify_theorem_k0(
         k_min = window_index(pres, v)
         k = max(k_min, window_k or 0)
         window = filtration_window(ring, v, k)
-        prev = filtration_idempotent(pres, window[0], dec)
-        if not prev.matrix.is_zero():
-            ok, detail = False, {
-                "stage": list(window[0]),
-                "reason": "bottom filtration stage is nonzero",
-                "matrix": prev.matrix.to_serializable(),
-            }
         base = ring.base
-        if ok:
-            for a in window[1:]:
-                cur = filtration_idempotent(pres, a, dec)
-                lo_hi = prev.matrix.compose(cur.matrix)
-                hi_lo = cur.matrix.compose(prev.matrix)
-                if lo_hi != prev.matrix or hi_lo != prev.matrix:
+        for a, step in filtration_walk(pres, window, graded_rank, dec):
+            cur = step.upper
+            if step.lower is None:
+                if not cur.matrix.is_zero():
                     ok, detail = False, {
                         "stage": list(a),
-                        "reason": "filtration stages do not nest",
+                        "reason": "bottom filtration stage is nonzero",
                         "matrix": cur.matrix.to_serializable(),
                     }
                     break
-                quot = IdempotentPresentation(
-                    ring, pres.shifts, cur.matrix.sub(prev.matrix)
-                )
-                block = dec.blocks.get(a)
-                want = (
-                    GradedRankClass.single(a, k0_of_idempotent(block, base))
-                    if block is not None
-                    else GradedRankClass.zero()
-                )
-                got = graded_rank(quot)
-                if got != want:
-                    ok, detail = False, {
-                        "stage": list(a),
-                        "reason": "quotient class differs from block class",
-                        "matrix": quot.matrix.to_serializable(),
-                        "expected": want.serialize(),
-                        "got": got.serialize(),
-                    }
-                    break
-                prev = cur
-        if ok and prev.matrix != pres.matrix:
+                continue
+            if not step.nested:
+                ok, detail = False, {
+                    "stage": list(a),
+                    "reason": "filtration stages do not nest",
+                    "matrix": cur.matrix.to_serializable(),
+                }
+                break
+            block = dec.blocks.get(a)
+            want = (
+                GradedRankClass.single(a, k0_of_idempotent(block, base))
+                if block is not None
+                else GradedRankClass.zero()
+            )
+            got = step.quotient_class
+            if got != want:
+                ok, detail = False, {
+                    "stage": list(a),
+                    "reason": "quotient class differs from block class",
+                    "matrix": step.quotient.matrix.to_serializable(),
+                    "expected": want.serialize(),
+                    "got": got.serialize(),
+                }
+                break
+        if ok and cur.matrix != pres.matrix:
             ok, detail = False, {
                 "reason": "top filtration stage is not the whole module",
-                "matrix": prev.matrix.to_serializable(),
+                "matrix": cur.matrix.to_serializable(),
             }
         checks.append(_check("filtration_consistency", ok, detail))
     else:

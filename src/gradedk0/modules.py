@@ -314,11 +314,11 @@ def _embed_blocks(pres: IdempotentPresentation, blocks: dict) -> GradedMatrix:
     return GradedMatrix.from_base_blocks(pres.ring, pres.shifts, blocks)
 
 
-def _nilpotency_bound(pres: IdempotentPresentation) -> int:
-    ring = pres.ring
+def _nilpotency_bound(ring: GradedRing, target: ShiftList, source: ShiftList) -> int:
+    """Largest order value of a nonzero cone degree source[j] - target[i]."""
     best = 0
-    for i, bi in enumerate(pres.shifts):
-        for bj in pres.shifts:
+    for bi in target:
+        for bj in source:
             d = vsub(bj, bi)
             if any(d) and ring.cone.contains(d):
                 best = max(best, ring.order.value(d))
@@ -348,14 +348,7 @@ def unipotent_inverse(m: GradedMatrix) -> GradedMatrix:
         for entry in row:
             if not entry.is_zero() and not m.ring.order.is_positive(entry.degree()):
                 raise ValueError("matrix is not 1 plus positive-degree terms")
-    ring = m.ring
-    best = 0
-    for bi in m.target:
-        for bj in m.source:
-            d = vsub(bj, bi)
-            if any(d) and ring.cone.contains(d):
-                best = max(best, ring.order.value(d))
-    return _geometric_inverse(m, best)
+    return _geometric_inverse(m, _nilpotency_bound(m.ring, m.target, m.source))
 
 
 def _conjugate(pres: IdempotentPresentation, mirror: bool) -> DecomposedForm:
@@ -374,7 +367,7 @@ def _conjugate(pres: IdempotentPresentation, mirror: bool) -> DecomposedForm:
         straight = e.compose(reduced).add(co_e.compose(co_r))
     else:
         straight = reduced.compose(e).add(co_r.compose(co_e))
-    bound = _nilpotency_bound(pres)
+    bound = _nilpotency_bound(ring, pres.shifts, pres.shifts)
     straight_inv = _geometric_inverse(straight, bound)
     if mirror:
         u, u_inv = straight_inv, straight
@@ -431,13 +424,79 @@ def filtration_idempotent(
     return IdempotentPresentation(pres.ring, pres.shifts, p)
 
 
-def _nonzero_block_shifts(pres: IdempotentPresentation) -> list[LatticePoint]:
-    base = pres.ring.base
-    out = []
-    for b, block in pres.decomposition.blocks.items():
-        if any(not base.is_zero(x) for row in block for x in row):
-            out.append(b)
-    return out
+def _nonzero_blocks(base, blocks: dict) -> list[LatticePoint]:
+    return [
+        b
+        for b, block in blocks.items()
+        if any(not base.is_zero(x) for row in block for x in row)
+    ]
+
+
+class StageStep:
+    """Passage from the filtration stage below a window point to the stage at it.
+
+    The stage at a depends only on which nonzero blocks sit at shifts <= a, so
+    window points that keep the same blocks share one stage, and points that
+    pass between the same two stages share one step: the nesting products,
+    the quotient and its class are formed once per step, on first use.
+    `lower` is None below the first window point, where the quotient is the
+    first stage itself.
+    """
+
+    def __init__(self, lower, upper: IdempotentPresentation, rank) -> None:
+        self.lower = lower
+        self.upper = upper
+        self._rank = rank
+
+    @cached_property
+    def nested(self) -> bool:
+        """lower * upper = upper * lower = lower."""
+        if self.lower is None:
+            return True
+        lo, hi = self.lower.matrix, self.upper.matrix
+        return lo.compose(hi) == lo and hi.compose(lo) == lo
+
+    @cached_property
+    def quotient(self) -> IdempotentPresentation:
+        if self.lower is None:
+            return self.upper
+        hi = self.upper
+        return IdempotentPresentation(
+            hi.ring, hi.shifts, hi.matrix.sub(self.lower.matrix)
+        )
+
+    @cached_property
+    def quotient_class(self):
+        return self._rank(self.quotient)
+
+
+def filtration_walk(
+    pres: IdempotentPresentation, window, rank, dec: DecomposedForm | None = None
+):
+    """Yield (a, step) for each point a of the window, in window order.
+
+    step.upper is the filtration stage at a and step.lower the stage at the
+    previous point; `rank` maps a presentation to its class (classes live in
+    k0, which builds on this module) and is applied to each distinct
+    quotient once.  Every stage is computed by filtration_idempotent at the
+    first window point that keeps its blocks.
+    """
+    if dec is None:
+        dec = pres.decomposition
+    order = pres.ring.order
+    nonzero = _nonzero_blocks(pres.ring.base, dec.blocks)
+    stages: dict = {}
+    steps: dict = {}
+    lower_key = None
+    for a in window:
+        key = tuple(b for b in nonzero if order.leq(b, a))
+        if key not in stages:
+            stages[key] = filtration_idempotent(pres, a, dec)
+        if (lower_key, key) not in steps:
+            lower = None if lower_key is None else stages[lower_key]
+            steps[lower_key, key] = StageStep(lower, stages[key], rank)
+        yield a, steps[lower_key, key]
+        lower_key = key
 
 
 def window_index(pres: IdempotentPresentation, v: LatticePoint) -> int:
@@ -449,7 +508,7 @@ def window_index(pres: IdempotentPresentation, v: LatticePoint) -> int:
     v = tuple(int(x) for x in v)
     if not pres.ring.cone.contains_strictly(v):
         raise ValueError("window direction must be strictly interior to the cone")
-    shifts = _nonzero_block_shifts(pres)
+    shifts = _nonzero_blocks(pres.ring.base, pres.decomposition.blocks)
     order = pres.ring.order
     cone = pres.ring.cone
     k = 0

@@ -74,6 +74,18 @@ def rational_sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def surd_sign(a, b, d: int) -> int:
+    """Sign of a + b*sqrt(d) for rational a, b: a^2 against d*b^2 when the
+    signs of a and b differ."""
+    sa = rational_sign(a)
+    sb = rational_sign(b)
+    if sb == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    return sa * rational_sign(a * a - d * b * b)
+
+
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
@@ -180,15 +192,7 @@ class QuadraticReal:
 
     def sign(self) -> int:
         """Sign of a + b*sqrt(d), via integer comparison of a^2 against d*b^2."""
-        sa = rational_sign(self.a)
-        sb = rational_sign(self.b)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        # opposite nonzero signs: |a| vs |b|*sqrt(d)
-        cmp = self.a * self.a - self.d * self.b * self.b
-        return sa * rational_sign(cmp)
+        return surd_sign(self.a, self.b, self.d)
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)

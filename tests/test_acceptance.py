@@ -319,3 +319,13 @@ def test_criterion_9_cli_goldens_and_exit_codes(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert seen == {0: 0, 2: 2, 3: 3, 4: 4, 5: 5}
     _report(9, "byte-exact goldens and full exit-code matrix", started, 30)
+
+
+def test_criterion_10_verify_cost_follows_distinct_shifts():
+    # R + R(-(40,0)) has two distinct shifts but thousands of window points
+    for preset in ("R1", "R3"):
+        started = time.monotonic()
+        ring = preset_ring(preset)
+        report = verify_theorem_k0(IdempotentPresentation.free(ring, ((0, 0), (40, 0))))
+        assert report["all_passed"], (preset, report)
+        _report(10, f"verify on {preset} at shift spread 40", started, 3)

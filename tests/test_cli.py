@@ -171,6 +171,15 @@ class TestExitCodes:
         code, _, _ = cli(["cone", "check", "--job", "/nonexistent/job.json"])
         assert code == 3
 
+    @pytest.mark.parametrize("depth", [2000, 5000])
+    def test_deeply_nested_expression_is_two(self, cli, depth):
+        # 5000 levels overflow the parser, 2000 overflow the evaluator
+        code, _, err = cli(
+            ["ring", "eval", "--example", "R1", "--expr=" + "-" * depth + "X"]
+        )
+        assert code == 2
+        assert "parse error" in err
+
     def test_internal_error_is_five(self, cli, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("deliberate fault")

@@ -1,12 +1,21 @@
+import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gradedk0.cones import Cone, OrderForm, enumerate_window, facets_from_generators, idot
-from gradedk0.scalars import QQ, PrimeField, QuadraticField
+from gradedk0.cones import (
+    Cone,
+    OrderForm,
+    _field_dot_field,
+    enumerate_window,
+    facets_from_generators,
+    idot,
+)
+from gradedk0.presets import preset_ring
+from gradedk0.scalars import QQ, PrimeField, QuadraticField, QuadraticReal
 
 F2 = QuadraticField(2)
 ORTHANT = Cone.rational([(1, 0), (0, 1)])
@@ -182,6 +191,85 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ORTHANT.contains((1, 2, 3))
+
+
+MEMBERSHIP_CONES = {
+    "R1": preset_ring("R1").cone,
+    "R2": preset_ring("R2").cone,
+    "R3": preset_ring("R3").cone,
+    "Q3": Cone.rational([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
+}
+
+
+def integer_ray(g):
+    """Primitive integer vector along a rational generator; None if irrational."""
+    if any(isinstance(x, QuadraticReal) and x.b for x in g):
+        return None
+    fr = [Fraction(x.a) if isinstance(x, QuadraticReal) else Fraction(x) for x in g]
+    m = math.lcm(*(f.denominator for f in fr))
+    return tuple(int(f * m) for f in fr)
+
+
+def boundary_points(cone):
+    """The origin, integer points on the generator rays and on the planes
+    through two of them, and for Q(sqrt 2) points just off the irrational ray."""
+    rays = [r for r in map(integer_ray, cone.generators) if r is not None]
+    pts = [(0,) * cone.n]
+    for r in rays:
+        pts += [tuple(k * x for x in r) for k in (1, 2, 5)]
+        for s in rays:
+            pts.append(tuple(x + y for x, y in zip(r, s)))
+    if isinstance(cone.field, QuadraticField):
+        # convergents of sqrt 2 alternate sides of the ray through (1, sqrt 2)
+        pts += [(1, 1), (2, 3), (5, 7), (12, 17), (29, 41), (70, 99)]
+    return pts
+
+
+def assert_membership_matches_facet_signs(cone, point):
+    field = cone.field
+    vec = [field.coerce(x) for x in point]
+    signs = [field.sign(_field_dot_field(h, vec, field)) for h in cone.facets]
+    assert cone.contains(point) == all(s >= 0 for s in signs)
+    assert cone.contains_strictly(point) == all(s > 0 for s in signs)
+
+
+def cone_points(cone):
+    ints = st.integers(-60, 60)
+    return st.one_of(
+        st.tuples(*[ints] * cone.n), st.sampled_from(boundary_points(cone))
+    )
+
+
+@st.composite
+def rational_plane_cones(draw):
+    coord = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    g1, g2 = (draw(coord), draw(coord)), (draw(coord), draw(coord))
+    assume(g1[0] * g2[1] - g1[1] * g2[0] != 0)
+    return Cone.rational([g1, g2])
+
+
+class TestIntegerMembership:
+    """Integer points are decided without the field; the verdict must be the
+    exact facet-sign test in the field."""
+
+    @pytest.mark.parametrize("name", sorted(MEMBERSHIP_CONES))
+    @given(data=st.data())
+    def test_presets(self, name, data):
+        cone = MEMBERSHIP_CONES[name]
+        assert_membership_matches_facet_signs(cone, data.draw(cone_points(cone)))
+
+    @given(cone=rational_plane_cones(), data=st.data())
+    def test_random_rational_plane_cones(self, cone, data):
+        assert_membership_matches_facet_signs(cone, data.draw(cone_points(cone)))
+
+    def test_boundary_points_hit_facets(self):
+        for cone in MEMBERSHIP_CONES.values():
+            on_facet = [
+                p
+                for p in boundary_points(cone)
+                if cone.contains(p) and not cone.contains_strictly(p)
+            ]
+            assert len(on_facet) > 1
 
 
 class TestCompare:

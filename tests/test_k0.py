@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import gradedk0.k0 as k0_module
+import gradedk0.modules as modules_module
 from gradedk0.cones import enumerate_window
 from gradedk0.k0 import (
     GradedRankClass,
@@ -20,12 +23,16 @@ from gradedk0.linalg import invert
 from gradedk0.modules import (
     GradedMatrix,
     IdempotentPresentation,
+    filtration_window,
     shift_module,
     unipotent_inverse,
+    window_index,
 )
 from gradedk0.modules import conjugator, graded_dimension
 from gradedk0.presets import preset_ring, random_idempotent
 from gradedk0.scalars import QQ, ZZ, PrimeField, ProductRing
+
+from conftest import run_cli
 
 R1 = preset_ring("R1")
 R2 = preset_ring("R2")
@@ -229,6 +236,93 @@ class TestVerifyTheorem:
     def test_larger_window_than_needed(self):
         pres = worked_presentation(R1)
         assert verify_theorem_k0(pres, window_k=3)["all_passed"]
+
+
+def _free_spread_10(ring):
+    return IdempotentPresentation.free(ring, ((0, 0), (10, 0)))
+
+
+def _zero_block_between(ring):
+    """e = [[1, X^2, 0], [0, 0, 0], [0, 0, 1]]: the block at (2,0) is zero."""
+    shifts = ((0, 0), (2, 0), (4, 0))
+    one, zero, x2 = ring.one(), ring.zero(), ring.monomial((2, 0))
+    m = GradedMatrix(
+        ring, shifts, shifts, [[one, x2, zero], [zero, zero, zero], [zero, zero, one]]
+    )
+    return IdempotentPresentation(ring, shifts, m)
+
+
+class TestStageReuse:
+    """Conjugations in the filtration sweep follow the distinct stages,
+    not the number of window points."""
+
+    @pytest.fixture
+    def conjugations(self, monkeypatch):
+        calls = []
+        original = modules_module._conjugate
+
+        def counting(pres, mirror):
+            calls.append(pres.shifts)
+            return original(pres, mirror)
+
+        monkeypatch.setattr(modules_module, "_conjugate", counting)
+        return calls
+
+    @pytest.mark.parametrize("build", [_free_spread_10, _zero_block_between])
+    def test_verify_independent_of_window(self, conjugations, build):
+        v = R1.cone.interior_vector()
+        k_min = window_index(build(R1), v)
+        assert len(filtration_window(R1, v, k_min + 2)) > len(
+            filtration_window(R1, v, k_min)
+        )
+        counts = []
+        for k in (k_min, k_min + 2):
+            conjugations.clear()
+            assert verify_theorem_k0(build(R1), window_k=k)["all_passed"]
+            counts.append(len(conjugations))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("build", [_free_spread_10, _zero_block_between])
+    def test_filtration_command_independent_of_window(
+        self, conjugations, build, tmp_path
+    ):
+        pres = build(R1)
+        job = tmp_path / "job.json"
+        job.write_text(
+            json.dumps(
+                {
+                    "scalars": "rational",
+                    "base": "rational",
+                    "cone": {"generators": [["1", "0"], ["0", "1"]]},
+                    "module": {
+                        "shifts": [list(b) for b in pres.shifts],
+                        "idempotent": pres.matrix.to_serializable()["entries"],
+                    },
+                }
+            ),
+            encoding="utf-8",
+        )
+        k_min = window_index(pres, R1.cone.interior_vector())
+        counts = []
+        for k in (k_min, k_min + 2):
+            conjugations.clear()
+            code, _, _ = run_cli(["filtration", "--job", str(job), "--window-k", str(k)])
+            assert code == 0
+            counts.append(len(conjugations))
+        assert counts[0] == counts[1]
+
+
+    def test_failure_names_first_failing_point(self, monkeypatch):
+        def blind_at_4(pres):
+            terms = graded_rank(pres).terms
+            return GradedRankClass({b: c for b, c in terms.items() if b != (4, 0)})
+
+        monkeypatch.setattr(k0_module, "graded_rank", blind_at_4)
+        report = verify_theorem_k0(_zero_block_between(R1))
+        (check,) = [c for c in report["checks"] if c["name"] == "filtration_consistency"]
+        assert not check["passed"]
+        assert check["detail"]["stage"] == [4, 0]
+        assert check["detail"]["reason"] == "quotient class differs from block class"
 
 
 class TestHilbert:
