@@ -21,8 +21,11 @@ r = reduction of e (embedded back as a degree-0 matrix) the element
 
 satisfies u*e = r*u and u = 1 + correction with the correction supported in
 positive degrees.  An integral order form makes every positive degree worth
-at least 1, so the correction is nilpotent of explicitly bounded order and u
-is invertible by a finite geometric series.  All identities are verified
+at least 1, so the correction is nilpotent and u is invertible by a finite
+geometric series.  The largest order value of a shift difference is the
+a-priori bound on its length (reported as nilpotency_bound); the series
+itself stops at the first zero power, at the latest after as many terms as
+the longest chain of distinct shifts has steps.  All identities are verified
 exactly after construction; failure raises InternalCheckError since no input
 can legitimately trigger it.
 """
@@ -123,18 +126,19 @@ class GradedMatrix:
         if self.source != other.target:
             raise ValueError("shift mismatch in composition")
         zero = self.ring.zero()
+        nonzero = [
+            [(j, x) for j, x in enumerate(row) if not x.is_zero()]
+            for row in other.entries
+        ]
         out = []
-        for i in range(len(self.target)):
-            row = []
-            for j in range(len(other.source)):
-                acc = zero
-                for k in range(len(self.source)):
-                    left = self.entries[i][k]
-                    right = other.entries[k][j]
-                    if left.is_zero() or right.is_zero():
-                        continue
-                    acc = acc + left * right
-                row.append(acc)
+        for left_row in self.entries:
+            row = [zero] * len(other.source)
+            # ascending k: each entry sums its products in triple-loop order
+            for left, pairs in zip(left_row, nonzero):
+                if left.is_zero():
+                    continue
+                for j, right in pairs:
+                    row[j] = row[j] + left * right
             out.append(row)
         return GradedMatrix(self.ring, self.target, other.source, out)
 
@@ -188,10 +192,6 @@ class GradedMatrix:
             "source": [list(b) for b in self.source],
             "entries": [[x.to_term_list() for x in row] for row in self.entries],
         }
-
-
-def graded_matrix_compose(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    return a.compose(b)
 
 
 def shift_positions(shifts: ShiftList) -> dict:
@@ -326,17 +326,17 @@ def _nilpotency_bound(ring: GradedRing, target: ShiftList, source: ShiftList) ->
 
 
 def _geometric_inverse(one_plus: GradedMatrix, bound: int) -> GradedMatrix:
-    """Inverse of 1 + correction when the correction has positive degrees only."""
+    """Inverse of 1 + correction, the correction in positive degrees only; the
+    series stops at the first zero power, which `bound` certifies by power bound+1."""
     ident = GradedMatrix.identity(one_plus.ring, one_plus.target)
-    correction = one_plus.sub(ident)
-    out = ident
-    power = ident
-    for _ in range(bound):
-        power = power.compose(correction).neg()
+    step = ident.sub(one_plus)
+    out, power = ident, step
+    for _ in range(bound + 1):
+        if power.is_zero():
+            return out
         out = out.add(power)
-    if not power.compose(correction).is_zero():
-        raise InternalCheckError("correction is not nilpotent at the derived bound")
-    return out
+        power = power.compose(step)
+    raise InternalCheckError("correction is not nilpotent at the derived bound")
 
 
 def unipotent_inverse(m: GradedMatrix) -> GradedMatrix:
@@ -373,11 +373,12 @@ def _conjugate(pres: IdempotentPresentation, mirror: bool) -> DecomposedForm:
         u, u_inv = straight_inv, straight
     else:
         u, u_inv = straight, straight_inv
-    if u.compose(e) != reduced.compose(u):
+    ue = u.compose(e)
+    if ue != reduced.compose(u):
         raise InternalCheckError("conjugation identity failed")
     if u.compose(u_inv) != ident or u_inv.compose(u) != ident:
         raise InternalCheckError("geometric-series inverse failed")
-    if u.compose(e).compose(u_inv) != reduced:
+    if ue.compose(u_inv) != reduced:
         raise InternalCheckError("conjugated matrix is not the reduced form")
     for i, row in enumerate(u.entries):
         for j, entry in enumerate(row):

@@ -64,6 +64,8 @@ class GradedRing:
         return self.monomial(self.named_generators[name])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, GradedRing):
             return NotImplemented
         return (

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradedk0.cones import vadd, vscale
+from gradedk0.cones import vadd, vscale, vsub
+from gradedk0.errors import InternalCheckError
 from gradedk0.modules import (
     GradedMatrix,
     IdempotentPresentation,
+    _geometric_inverse,
     conjugator,
     filtration_idempotent,
     filtration_window,
@@ -20,7 +24,7 @@ from gradedk0.modules import (
     window_index,
 )
 from gradedk0.presets import preset_ring, random_idempotent
-from gradedk0.scalars import PrimeField
+from gradedk0.scalars import PrimeField, ProductElem, ProductRing, base_ring_from_descriptor
 
 R1 = preset_ring("R1")
 R1_23 = preset_ring("R1", gamma0=(2, 3))
@@ -379,3 +383,128 @@ class TestShiftAndInverse:
         )
         with pytest.raises(ValueError):
             unipotent_inverse(m)
+
+
+# rings for the compose property: ProductRing is where nonzero * nonzero = 0
+COMPOSE_RINGS = [
+    preset_ring(name, base=base_ring_from_descriptor(desc))
+    for name in ("R1", "R3")
+    for desc in ("rational", "fp:7", "product:rational,fp:7")
+]
+_points = st.tuples(st.integers(-2, 3), st.integers(-2, 3))
+
+
+def _random_graded_matrix(data, ring, target, source):
+    """Masked random entries: a monomial of the forced degree where it is in the cone."""
+    product = isinstance(ring.base, ProductRing)
+    factors = ring.base.factors if product else (ring.base,)
+    ints = st.lists(st.integers(-3, 3), min_size=len(factors), max_size=len(factors))
+    rows = []
+    for b in target:
+        row = []
+        for c in source:
+            d = vsub(c, b)
+            coeffs = [f.from_int(n) for f, n in zip(factors, data.draw(ints))]
+            coeff = ProductElem(coeffs) if product else coeffs[0]
+            row.append(ring.monomial(d, coeff) if ring.cone.contains(d) else ring.zero())
+        rows.append(row)
+    return GradedMatrix(ring, target, source, rows)
+
+
+class TestComposeProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_compose_matches_triple_loop(self, data):
+        ring = data.draw(st.sampled_from(COMPOSE_RINGS))
+        # few distinct points, so shifts repeat
+        pool = data.draw(st.lists(_points, min_size=1, max_size=3))
+        shifts = st.lists(st.sampled_from(pool), min_size=0, max_size=4)
+        target, middle, source = data.draw(shifts), data.draw(shifts), data.draw(shifts)
+        a = _random_graded_matrix(data, ring, target, middle)
+        b = _random_graded_matrix(data, ring, middle, source)
+        want = []
+        for i in range(len(target)):
+            row = []
+            for j in range(len(source)):
+                acc = ring.zero()
+                for k in range(len(middle)):
+                    acc = acc + a.entries[i][k] * b.entries[k][j]
+                row.append(acc)
+            want.append(row)
+        got = a.compose(b)
+        assert got.target == a.target and got.source == b.source
+        assert [list(row) for row in got.entries] == want
+
+
+def _spread_presentation(ring, s):
+    """e = P^-1 D P on shifts (0,0), (s,0), (2s,0); reduced blocks [[1]], [[0]], [[1]]."""
+    shifts = ((0, 0), (s, 0), (2 * s, 0))
+    coeffs = {(0, 1): 1, (0, 2): 3, (1, 2): -2}
+    p = GradedMatrix(
+        ring,
+        shifts,
+        shifts,
+        [
+            [
+                ring.one() if i == j
+                else ring.monomial(vsub(shifts[j], shifts[i]), coeffs[i, j]) if i < j
+                else ring.zero()
+                for j in range(3)
+            ]
+            for i in range(3)
+        ],
+    )
+    one, zero = Fraction(1), Fraction(0)
+    d = GradedMatrix.from_base_blocks(
+        ring, shifts, {shifts[0]: [[one]], shifts[1]: [[zero]], shifts[2]: [[one]]}
+    )
+    e = unipotent_inverse(p).compose(d).compose(p)
+    return IdempotentPresentation(ring, shifts, e)
+
+
+class TestConjugationCost:
+    @pytest.mark.parametrize("name", ["R1", "R3"])
+    def test_compose_count_independent_of_spread(self, monkeypatch, name):
+        ring = preset_ring(name)
+        counts = {}
+        for s in (5, 800):
+            pres = _spread_presentation(ring, s)
+            calls = []
+            original = GradedMatrix.compose
+
+            def counting(self, other):
+                calls.append(None)
+                return original(self, other)
+
+            with monkeypatch.context() as m:
+                m.setattr(GradedMatrix, "compose", counting)
+                dec = pres.decomposition
+            counts[s] = len(calls)
+            # the reported bound is still the paper's a-priori one
+            assert dec.nilpotency_bound == ring.order.value((2 * s, 0))
+            one, zero = [[Fraction(1)]], [[Fraction(0)]]
+            assert dec.blocks == {(0, 0): one, (s, 0): zero, (2 * s, 0): one}
+        assert dec.nilpotency_bound == 1600
+        assert counts[5] == counts[800]
+
+    @pytest.mark.parametrize(
+        "shifts, bound",
+        [(((0, 0), (1, 0)), 0), (((0, 0), (1, 0), (2, 0)), 1)],
+    )
+    def test_nilpotency_check_fires_below_true_order(self, shifts, bound):
+        # 1 + x on each step of the chain: the correction is nonzero up to power len-1
+        x = R1.monomial((1, 0))
+        r = len(shifts)
+        m = GradedMatrix(
+            R1,
+            shifts,
+            shifts,
+            [
+                [R1.one() if j == i else x if j == i + 1 else R1.zero() for j in range(r)]
+                for i in range(r)
+            ],
+        )
+        with pytest.raises(InternalCheckError, match="not nilpotent"):
+            _geometric_inverse(m, bound)
+        inv = _geometric_inverse(m, bound + 1)
+        assert m.compose(inv) == GradedMatrix.identity(R1, shifts)
