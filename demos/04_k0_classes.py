@@ -17,11 +17,9 @@ from gradedk0 import (
     QQ,
     graded_rank,
     hilbert_table,
-    l_action,
     phi_realize,
     preset_ring,
     random_idempotent,
-    shift_module,
     verify_theorem_k0,
 )
 
@@ -44,8 +42,8 @@ print("\n== translation acts by Laurent monomials ==")
 pres = IdempotentPresentation.free(ring, ((1, 1),))
 cls = graded_rank(pres)
 print("class:", cls)
-print("translate by -e1:", graded_rank(shift_module(pres, (-1, 0))))
-print("same as multiplying by t1:", l_action(cls, 0, 1))
+print("translate by -e1:", graded_rank(pres.shifted((-1, 0))))
+print("same as multiplying by t1:", cls.l_action(0, 1))
 
 print("\n== a random presentation, fully verified ==")
 rng = random.Random(5)

@@ -10,7 +10,7 @@ out as conjugated partial sums, and all advertised identities are verified
 exactly, never numerically.
 """
 
-from .cones import Cone, LatticePoint, OrderForm, compare, enumerate_window, facets_from_generators
+from .cones import Cone, LatticePoint, OrderForm, enumerate_window, facets_from_generators
 from .errors import (
     GradedK0Error,
     InternalCheckError,
@@ -24,7 +24,6 @@ from .k0 import (
     hilbert_series_check,
     hilbert_table,
     k0_of_idempotent,
-    l_action,
     phi_realize,
     verify_theorem_k0,
 )
@@ -36,11 +35,8 @@ from .modules import (
     filtration_idempotent,
     filtration_window,
     graded_dimension,
-    mirror_decomposition,
     reduce_matrix,
-    shift_module,
     splitting_difference_check,
-    tp_blocks,
     unipotent_inverse,
     window_index,
 )
@@ -57,7 +53,6 @@ from .scalars import (
     QuadraticReal,
     Rational,
     RationalField,
-    sign_quadratic,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +83,6 @@ __all__ = [
     "RationalField",
     "RingElem",
     "ZZ",
-    "compare",
     "conjugator",
     "default_sample_modules",
     "enumerate_window",
@@ -101,16 +95,11 @@ __all__ = [
     "hilbert_series_check",
     "hilbert_table",
     "k0_of_idempotent",
-    "l_action",
-    "mirror_decomposition",
     "phi_realize",
     "preset_ring",
     "random_idempotent",
     "reduce_matrix",
-    "shift_module",
-    "sign_quadratic",
     "splitting_difference_check",
-    "tp_blocks",
     "unipotent_inverse",
     "verify_theorem_k0",
     "window_index",

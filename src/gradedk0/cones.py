@@ -111,19 +111,12 @@ class OrderForm:
     def leq(self, a: LatticePoint, b: LatticePoint) -> bool:
         return self.compare(a, b) <= 0
 
-    def lt(self, a: LatticePoint, b: LatticePoint) -> bool:
-        return self.compare(a, b) < 0
-
     def is_positive(self, point: LatticePoint) -> bool:
         """True iff point > 0 in the total order."""
         return self.compare(point, (0,) * self.n) > 0
 
     def sort_key(self, point: LatticePoint):
         return (self.value(point), tuple(point))
-
-
-def compare(order: OrderForm, a: LatticePoint, b: LatticePoint) -> int:
-    return order.compare(a, b)
 
 
 def _normalize_direction(vec, field):
@@ -188,27 +181,17 @@ def facets_from_generators(generators, field):
 
     found = {}
     for subset in combinations(range(len(gens)), n - 1):
-        rows = [gens[i] for i in subset]
-        if linalg.rank(rows, field) != n - 1:
-            continue
-        kernel = linalg.nullspace(rows, field, n)
+        kernel = linalg.nullspace([gens[i] for i in subset], field, n)
         if len(kernel) != 1:
             continue
         for cand in (kernel[0], [-x for x in kernel[0]]):
-            signs = [field.sign(_field_dot_field(cand, g, field)) for g in gens]
+            signs = [field.sign(_field_dot(cand, g, field)) for g in gens]
             if all(s >= 0 for s in signs):
                 key = _normalize_direction(cand, field)
                 found.setdefault(key, _pretty_normal(key, field))
     facets = sorted(found.values(), key=lambda h: [field.encode(x) for x in h])
     _cross_validate_facets(gens, facets, field, n)
     return facets
-
-
-def _field_dot_field(a, b, field):
-    acc = field.zero()
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
 
 
 def _cross_validate_facets(gens, facets, field, n: int) -> None:
@@ -221,20 +204,17 @@ def _cross_validate_facets(gens, facets, field, n: int) -> None:
     """
     for h in facets:
         for g in gens:
-            if field.sign(_field_dot_field(h, g, field)) < 0:
+            if field.sign(_field_dot(h, g, field)) < 0:
                 raise InternalCheckError("generator violates derived facet")
     rows = [list(h) for h in facets]
     if linalg.rank(rows, field) < n:
         return
     for subset in combinations(range(len(facets)), n - 1):
-        sel = [rows[i] for i in subset]
-        if linalg.rank(sel, field) != n - 1:
-            continue
-        kernel = linalg.nullspace(sel, field, n)
+        kernel = linalg.nullspace([rows[i] for i in subset], field, n)
         if len(kernel) != 1:
             continue
         for ray in (kernel[0], [-x for x in kernel[0]]):
-            if all(field.sign(_field_dot_field(h, ray, field)) >= 0 for h in rows):
+            if all(field.sign(_field_dot(h, ray, field)) >= 0 for h in rows):
                 if not any(
                     linalg.rank([ray, g], field) == 1 for g in gens
                 ):
@@ -308,7 +288,7 @@ class Cone:
             field = self.field
             vec = [field.coerce(x) for x in point]
             for h in self.facets:
-                yield field.sign(_field_dot_field(h, vec, field))
+                yield field.sign(_field_dot(h, vec, field))
 
     def contains(self, point) -> bool:
         return all(s >= 0 for s in self._facet_signs(point))
@@ -362,7 +342,7 @@ class Cone:
         if not pointed:
             def back(cvec):
                 return tuple(
-                    _field_dot_field(
+                    _field_dot(
                         cvec, [self.generators[j][k] for j in basis], field
                     )
                     for k in range(self.n)
@@ -449,22 +429,6 @@ class Cone:
             for g in self.generators
         )
         return f"Cone[{gens}]"
-
-
-def is_pointed(cone: Cone):
-    return cone.is_pointed()
-
-
-def is_full_dimensional(cone: Cone) -> bool:
-    return cone.is_full_dimensional()
-
-
-def contains(cone: Cone, point) -> bool:
-    return cone.contains(point)
-
-
-def interior_vector(cone: Cone) -> LatticePoint:
-    return cone.interior_vector()
 
 
 def enumerate_window(

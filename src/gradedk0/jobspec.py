@@ -34,13 +34,6 @@ class JobSpec:
     params: dict = field(default_factory=dict)
 
 
-def scalar_field_from_descriptor(text: str):
-    """Scalar field for cone data; the same grammar as coefficient bases
-    minus products."""
-    f = base_ring_from_descriptor(text)
-    return f
-
-
 def _err(path: str, message: str) -> JobValidationError:
     return JobValidationError(f"{path}: {message}")
 
@@ -79,6 +72,8 @@ def parse_job(text: str, build: bool = True) -> JobSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise JobSyntaxError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise JobSyntaxError("JSON nested too deeply") from None
     allowed = ("scalars", "base", "cone", "order", "named_generators", "module", "params")
     data = _expect_object(data, "job", allowed)
 
@@ -86,7 +81,7 @@ def parse_job(text: str, build: bool = True) -> JobSpec:
     if not isinstance(scalars, str):
         raise _err("scalars", "expected a string")
     try:
-        scalar_field = scalar_field_from_descriptor(scalars)
+        scalar_field = base_ring_from_descriptor(scalars)
     except ValueError as exc:
         raise _err("scalars", str(exc)) from None
 
@@ -220,7 +215,7 @@ def serialize_job(spec: JobSpec) -> str:
 
 def build_cone(spec: JobSpec) -> Cone:
     try:
-        scalar_field = scalar_field_from_descriptor(spec.scalars)
+        scalar_field = base_ring_from_descriptor(spec.scalars)
     except ValueError as exc:
         raise _err("scalars", str(exc)) from None
     try:

@@ -22,8 +22,6 @@ from .modules import (
     filtration_walk,
     filtration_window,
     graded_dimension,
-    shift_module,
-    tp_blocks,
     window_index,
 )
 from .rings import GradedRing
@@ -139,10 +137,6 @@ class GradedRankClass:
         return f"GradedRankClass({self})"
 
 
-def l_action(c: GradedRankClass, axis: int, exponent: int) -> GradedRankClass:
-    return c.l_action(axis, exponent)
-
-
 def k0_of_idempotent(m, base) -> K0Class:
     """Class of an idempotent over the base: exact rank per simple factor."""
     if not hasattr(base, "factors"):
@@ -161,7 +155,7 @@ def graded_rank(pres: IdempotentPresentation) -> GradedRankClass:
     """Sum over shifts of the block class at that shift, one monomial each."""
     base = pres.ring.base
     out = {}
-    for b, block in tp_blocks(pres).items():
+    for b, block in pres.decomposition.blocks.items():
         cls = k0_of_idempotent(block, base)
         if not cls.is_zero():
             out[b] = cls
@@ -312,10 +306,10 @@ def verify_theorem_k0(
     if dec is not None:
         for axis in range(ring.n):
             unit = _unit(ring.n, axis)
-            up = graded_rank(shift_module(pres, vneg(unit)))
+            up = graded_rank(pres.shifted(vneg(unit)))
             if up != rank_class.l_action(axis, 1):
                 failures.append({"axis": axis, "direction": +1})
-            down = graded_rank(shift_module(pres, unit))
+            down = graded_rank(pres.shifted(unit))
             if down != rank_class.l_action(axis, -1):
                 failures.append({"axis": axis, "direction": -1})
         checks.append(_check("l_linearity", not failures, {"mismatches": failures}))
@@ -339,7 +333,7 @@ def hilbert_table(pres: IdempotentPresentation, bound: int):
         raise ValueError("dimension tables require a field base")
     ranks = {
         b: k0_of_idempotent(block, base).components[0]
-        for b, block in tp_blocks(pres).items()
+        for b, block in pres.decomposition.blocks.items()
     }
     candidates = set()
     for b in set(pres.shifts):

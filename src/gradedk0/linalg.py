@@ -1,8 +1,9 @@
 """Exact dense linear algebra over a field descriptor.
 
 Matrices are lists of lists of field elements; nothing here mutates its
-arguments.  Only desk-scale sizes appear in this package, so plain Gaussian
-elimination with exact division is the right tool.
+arguments.  Only desk-scale sizes appear in this package, so plain
+Gauss-Jordan elimination with exact division is the right tool: one kernel,
+`_rref`, behind rank, nullspace, solve and invert.
 """
 
 from __future__ import annotations
@@ -11,19 +12,6 @@ from __future__ import annotations
 def mat_identity(n: int, field):
     one, zero = field.one(), field.zero()
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_zero(rows: int, cols: int, field):
-    zero = field.zero()
-    return [[zero for _ in range(cols)] for _ in range(rows)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a, b, field):
@@ -53,37 +41,19 @@ def is_idempotent(m, field) -> bool:
     return mat_eq(mat_mul(m, m, field), m)
 
 
-def rank(m, field) -> int:
-    """Rank by fraction-free-enough Gaussian elimination (exact division)."""
-    if not m or not m[0]:
-        return 0
-    a = [row[:] for row in m]
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not field.is_zero(a[i][c])), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and not field.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+def _rref(m, field):
+    """Reduced row echelon form of m and its ascending pivot columns.
 
-
-def nullspace(m, field, cols: int):
-    """Basis of {x : m x = 0} for an r x cols matrix m (rows may be empty)."""
+    Returns (rows, pivots): row i < len(pivots) has a 1 at pivots[i] and every
+    other row a 0 there.  Elimination stops once every row has a pivot.
+    """
     a = [row[:] for row in m]
     rows = len(a)
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if not field.is_zero(a[i][c])), None)
         if pivot is None:
             continue
@@ -95,11 +65,21 @@ def nullspace(m, field, cols: int):
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
+    return a, pivots
+
+
+def rank(m, field) -> int:
+    return len(_rref(m, field)[1])
+
+
+def nullspace(m, field, cols: int):
+    """Basis of {x : m x = 0} for an r x cols matrix m (rows may be empty)."""
+    a, pivots = _rref(m, field)
     one, zero = field.one(), field.zero()
-    for fc in free:
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [zero] * cols
         v[fc] = one
         for i, pc in enumerate(pivots):
@@ -112,26 +92,10 @@ def solve(a, b, field):
     """One solution x of a x = b (a: rows x cols, b: rows), or None."""
     if not a:
         return []
-    rows, cols = len(a), len(a[0])
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not field.is_zero(aug[i][c])), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and not field.is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if not field.is_zero(aug[i][cols]):
-            return None
+    cols = len(a[0])
+    aug, pivots = _rref([row + [y] for row, y in zip(a, b)], field)
+    if cols in pivots:
+        return None
     x = [field.zero()] * cols
     for i, pc in enumerate(pivots):
         x[pc] = aug[i][cols]
@@ -141,16 +105,9 @@ def solve(a, b, field):
 def invert(m, field):
     """Inverse of a square matrix; raises ValueError if singular."""
     n = len(m)
-    aug = [m[i][:] + mat_identity(n, field)[i] for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not field.is_zero(aug[i][c])), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = field.inv(aug[c][c])
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and not field.is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    aug, pivots = _rref(
+        [row + ident for row, ident in zip(m, mat_identity(n, field))], field
+    )
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
     return [row[n:] for row in aug]

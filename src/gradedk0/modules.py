@@ -250,6 +250,7 @@ class IdempotentPresentation:
 
     @cached_property
     def mirror_decomposition(self) -> DecomposedForm:
+        """Second, independent conjugating pair (inverse of the mirrored formula)."""
         return _conjugate(self, mirror=True)
 
     def direct_sum(self, other: "IdempotentPresentation") -> "IdempotentPresentation":
@@ -305,15 +306,6 @@ def reduce_matrix(pres: IdempotentPresentation) -> dict:
     return blocks
 
 
-def tp_blocks(pres: IdempotentPresentation) -> dict:
-    """Per-degree idempotents over the base presenting the reduced pieces."""
-    return pres.decomposition.blocks
-
-
-def _embed_blocks(pres: IdempotentPresentation, blocks: dict) -> GradedMatrix:
-    return GradedMatrix.from_base_blocks(pres.ring, pres.shifts, blocks)
-
-
 def _nilpotency_bound(ring: GradedRing, target: ShiftList, source: ShiftList) -> int:
     """Largest order value of a nonzero cone degree source[j] - target[i]."""
     best = 0
@@ -359,7 +351,7 @@ def _conjugate(pres: IdempotentPresentation, mirror: bool) -> DecomposedForm:
         if not linalg.is_idempotent(block, base):
             raise InternalCheckError(f"reduced block at {b} is not idempotent")
     e = pres.matrix
-    reduced = _embed_blocks(pres, blocks)
+    reduced = GradedMatrix.from_base_blocks(ring, pres.shifts, blocks)
     ident = GradedMatrix.identity(ring, pres.shifts)
     co_e = ident.sub(e)
     co_r = ident.sub(reduced)
@@ -393,11 +385,6 @@ def conjugator(pres: IdempotentPresentation) -> DecomposedForm:
     return pres.decomposition
 
 
-def mirror_decomposition(pres: IdempotentPresentation) -> DecomposedForm:
-    """Second, independent conjugating pair (inverse of the mirrored formula)."""
-    return pres.mirror_decomposition
-
-
 def filtration_window(ring: GradedRing, v: LatticePoint, k: int) -> list[LatticePoint]:
     """Ascending list of lattice points of -kv + C that are order-below kv."""
     low = vscale(-k, v)
@@ -420,7 +407,7 @@ def filtration_idempotent(
     a = tuple(int(x) for x in a)
     order = pres.ring.order
     kept = {b: blk for b, blk in dec.blocks.items() if order.leq(b, a)}
-    inner = _embed_blocks(pres, kept)
+    inner = GradedMatrix.from_base_blocks(pres.ring, pres.shifts, kept)
     p = dec.u_inv.compose(inner).compose(dec.u)
     return IdempotentPresentation(pres.ring, pres.shifts, p)
 
@@ -614,8 +601,3 @@ def splitting_difference_check(
         elif p_pred.matrix.compose(delta) != delta:
             return False
     return True
-
-
-def shift_module(pres: IdempotentPresentation, translation) -> IdempotentPresentation:
-    """Translation functor on presentations; see IdempotentPresentation.shifted."""
-    return pres.shifted(translation)

@@ -260,11 +260,3 @@ def from_term_list(ring: GradedRing, data) -> RingElem:
             raise ValueError(f"duplicate exponent {exp} in term list")
         terms[exp] = coeff
     return RingElem(ring, terms)
-
-
-def graded_piece(x: RingElem, degree: LatticePoint):
-    return x.graded_piece(degree)
-
-
-def reduce_mod_plus(x: RingElem):
-    return x.reduce_mod_plus()

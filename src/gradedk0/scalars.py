@@ -140,12 +140,6 @@ class QuadraticReal:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -163,18 +157,6 @@ class QuadraticReal:
         if norm == 0:
             raise ZeroDivisionError("inverse of zero quadratic real")
         return QuadraticReal(self.a / norm, -self.b / norm, self.d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -227,9 +209,6 @@ class QuadraticReal:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
     def floor(self) -> int:
         approx = self.a + self.b * sqrt_rational_approx(self.d, 20)
         m = math.floor(approx)
@@ -247,11 +226,6 @@ class QuadraticReal:
 
     def __repr__(self) -> str:
         return f"QuadraticReal({self.a!r}, {self.b!r}, {self.d})"
-
-
-def sign_quadratic(x: QuadraticReal) -> int:
-    """Exact sign of a quadratic real, in {-1, 0, +1}."""
-    return x.sign()
 
 
 @dataclass(frozen=True)
@@ -290,12 +264,6 @@ class PrimeFieldElem:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -308,25 +276,6 @@ class PrimeFieldElem:
         if self.value == 0:
             raise ZeroDivisionError(f"inverse of 0 mod {self.p}")
         return PrimeFieldElem(pow(self.value, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        return PrimeFieldElem(pow(self.value, n, self.p), self.p)
 
     def __bool__(self) -> bool:
         return self.value != 0

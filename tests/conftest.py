@@ -1,9 +1,16 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gradedk0
 from gradedk0.cli import main
+
+SRC = Path(gradedk0.__file__).resolve().parent.parent
 
 
 def run_cli(argv):
@@ -15,6 +22,16 @@ def run_cli(argv):
     except SystemExit as exc:  # argparse usage errors
         code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue(), err.getvalue()
+
+
+def run_python(args):
+    """Run a fresh interpreter with the package importable; returns the
+    completed process with text stdout and stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 @pytest.fixture

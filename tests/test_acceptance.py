@@ -29,7 +29,6 @@ from gradedk0.modules import (
     filtration_idempotent,
     filtration_window,
     splitting_difference_check,
-    tp_blocks,
     window_index,
 )
 from gradedk0.presets import default_sample_modules, preset_ring, random_idempotent
@@ -158,7 +157,8 @@ def test_criterion_5_filtration_properties():
     # direct-sum compatibility across consecutive sample pairs
     for left, right in zip(sample, sample[1:]):
         both = left.direct_sum(right)
-        lb, rb, bb = tp_blocks(left), tp_blocks(right), tp_blocks(both)
+        lb, rb = left.decomposition.blocks, right.decomposition.blocks
+        bb = both.decomposition.blocks
         for b in set(lb) | set(rb):
             assert len(bb[b]) == len(lb.get(b, [])) + len(rb.get(b, []))
         a = (2, 2)

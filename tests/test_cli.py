@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 import gradedk0.cli as cli_module
+from conftest import run_python
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -180,6 +181,14 @@ class TestExitCodes:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("command", [["k0"], ["cone", "check"]])
+    def test_deeply_nested_job_is_two(self, cli, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, _, err = cli(command + ["--job", str(path)])
+        assert code == 2
+        assert "parse error" in err
+
     def test_internal_error_is_five(self, cli, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("deliberate fault")
@@ -188,6 +197,19 @@ class TestExitCodes:
         code, _, err = cli(["enumerate", "--example", "R1", "--bound", "2"])
         assert code == 5
         assert "internal error" in err
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["gradedk0.cli", "gradedk0"])
+    def test_same_output_as_main(self, cli, module):
+        _, want, _ = cli(["k0", "--example", "R1"])
+        proc = run_python(["-m", module, "k0", "--example", "R1"])
+        assert proc.returncode == 0
+        assert want and proc.stdout == want
+
+    @pytest.mark.parametrize("module", ["gradedk0.cli", "gradedk0"])
+    def test_unknown_command_is_two(self, module):
+        assert run_python(["-m", module, "no-such-command"]).returncode == 2
 
 
 class TestMachineOutput:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from gradedk0.cones import (
     Cone,
     OrderForm,
-    _field_dot_field,
+    _cross_validate_facets,
+    _field_dot,
     enumerate_window,
     facets_from_generators,
     idot,
 )
+from gradedk0.errors import InternalCheckError
 from gradedk0.presets import preset_ring
 from gradedk0.scalars import QQ, PrimeField, QuadraticField, QuadraticReal
 
@@ -109,6 +111,29 @@ class TestFacets:
         pointed, order = cone.is_pointed()
         assert pointed and order.gamma0 == (1,)
         assert cone.contains((7,)) and not cone.contains((-1,))
+
+
+class TestCrossValidation:
+    """Each facet check fires on a tampered facet list of the Q3 cone."""
+
+    CONE = Cone.rational([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+
+    def test_derived_facets_pass(self):
+        gens = [list(g) for g in self.CONE.generators]
+        _cross_validate_facets(gens, list(self.CONE.facets), QQ, 3)
+
+    @pytest.mark.parametrize("left_out", range(4))
+    def test_missing_facet_admits_outside_ray(self, left_out):
+        facets = [h for i, h in enumerate(self.CONE.facets) if i != left_out]
+        gens = [list(g) for g in self.CONE.generators]
+        with pytest.raises(InternalCheckError, match="admits a ray outside the generated cone"):
+            _cross_validate_facets(gens, facets, QQ, 3)
+
+    def test_extra_normal_violated_by_generator(self):
+        facets = list(self.CONE.facets) + [(Fraction(1), Fraction(-1), Fraction(0))]
+        gens = [list(g) for g in self.CONE.generators]
+        with pytest.raises(InternalCheckError, match="generator violates derived facet"):
+            _cross_validate_facets(gens, facets, QQ, 3)
 
 
 class TestConeConstruction:
@@ -228,7 +253,7 @@ def boundary_points(cone):
 def assert_membership_matches_facet_signs(cone, point):
     field = cone.field
     vec = [field.coerce(x) for x in point]
-    signs = [field.sign(_field_dot_field(h, vec, field)) for h in cone.facets]
+    signs = [field.sign(_field_dot(h, vec, field)) for h in cone.facets]
     assert cone.contains(point) == all(s >= 0 for s in signs)
     assert cone.contains_strictly(point) == all(s > 0 for s in signs)
 

@@ -15,7 +15,6 @@ from gradedk0.k0 import (
     hilbert_series_check,
     hilbert_table,
     k0_of_idempotent,
-    l_action,
     phi_realize,
     verify_theorem_k0,
 )
@@ -24,7 +23,6 @@ from gradedk0.modules import (
     GradedMatrix,
     IdempotentPresentation,
     filtration_window,
-    shift_module,
     unipotent_inverse,
     window_index,
 )
@@ -92,7 +90,7 @@ class TestGradedRank:
         for b in enumerate_window(R1.order, R1.cone, (0, 0), 10):
             pres = IdempotentPresentation.free(R1, (b,))
             assert graded_rank(pres) == GradedRankClass.single(b, K0Class((1,)))
-            neg = shift_module(pres, tuple(2 * x for x in b))
+            neg = pres.shifted(tuple(2 * x for x in b))
             assert graded_rank(neg) == GradedRankClass.single(
                 tuple(-x for x in b), K0Class((1,))
             )
@@ -180,16 +178,16 @@ class TestLAction:
     def test_shift_then_rank(self):
         b = (1, 1)
         pres = IdempotentPresentation.free(R1, (b,))
-        shifted = shift_module(pres, (-1, 0))
+        shifted = pres.shifted((-1, 0))
         assert graded_rank(shifted) == GradedRankClass.single((2, 1), K0Class((1,)))
 
     def test_shift_round_trip(self):
         pres = worked_presentation(R1)
-        assert shift_module(shift_module(pres, (1, 2)), (-1, -2)) == pres
+        assert pres.shifted((1, 2)).shifted((-1, -2)) == pres
 
     def test_l_action_inverse(self):
         c = GradedRankClass({(0, 0): K0Class((1,)), (2, 1): K0Class((2,))})
-        assert l_action(l_action(c, 0, 1), 0, -1) == c
+        assert c.l_action(0, 1).l_action(0, -1) == c
 
     def test_action_matches_translation(self):
         rng = random.Random(6)
@@ -197,12 +195,12 @@ class TestLAction:
         cls = graded_rank(pres)
         for axis in range(2):
             unit = tuple(1 if i == axis else 0 for i in range(2))
-            assert graded_rank(shift_module(pres, tuple(-u for u in unit))) == l_action(cls, axis, 1)
-            assert graded_rank(shift_module(pres, unit)) == l_action(cls, axis, -1)
+            assert graded_rank(pres.shifted(tuple(-u for u in unit))) == cls.l_action(axis, 1)
+            assert graded_rank(pres.shifted(unit)) == cls.l_action(axis, -1)
 
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
-            l_action(GradedRankClass({(0, 0): K0Class((1,))}), 0, 2)
+            GradedRankClass({(0, 0): K0Class((1,))}).l_action(0, 2)
 
 
 class TestVerifyTheorem:
@@ -345,6 +343,14 @@ class TestHilbert:
 
     def test_zero_module(self):
         assert hilbert_series_check(IdempotentPresentation.zero(R1), 10)
+
+    def test_dimension_fault_fails_check(self, monkeypatch):
+        real = k0_module.graded_dimension
+        monkeypatch.setattr(k0_module, "graded_dimension", lambda pres, a: real(pres, a) + 1)
+        assert not hilbert_series_check(IdempotentPresentation.free(R1, ((0, 0),)), 6)
+        code, out, _ = run_cli(["hilbert", "--example", "R1"])
+        assert code == 4
+        assert "convolution check: FAIL" in out
 
     def test_random_samples(self):
         rng = random.Random(31)

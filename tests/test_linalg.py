@@ -4,9 +4,24 @@ from fractions import Fraction
 import pytest
 
 from gradedk0 import linalg
-from gradedk0.scalars import QQ, PrimeField
+from gradedk0.scalars import QQ, PrimeField, QuadraticField
 
 F7 = PrimeField(7)
+FIELDS = pytest.mark.parametrize(
+    "field", [QQ, F7, QuadraticField(2)], ids=["QQ", "F7", "Qsqrt2"]
+)
+
+
+def scalar(field, rng, lo, hi):
+    """Random field element; over Q(sqrt d) with an irrational part too."""
+    x = field.from_int(rng.randint(lo, hi))
+    if isinstance(field, QuadraticField):
+        x = x + field.from_int(rng.randint(lo, hi)) * field.sqrt_gen()
+    return x
+
+
+def mat_vec(m, v, field):
+    return [sum((row[j] * v[j] for j in range(len(v))), field.zero()) for row in m]
 
 
 def random_invertible(field, n, rng):
@@ -16,9 +31,9 @@ def random_invertible(field, n, rng):
     for i in range(n):
         for j in range(n):
             if i > j:
-                lo[i][j] = field.from_int(rng.randint(-3, 3))
+                lo[i][j] = scalar(field, rng, -3, 3)
             elif i < j:
-                up[i][j] = field.from_int(rng.randint(-3, 3))
+                up[i][j] = scalar(field, rng, -3, 3)
     return linalg.mat_mul(lo, up, field)
 
 
@@ -55,35 +70,41 @@ def test_rank_mod_p():
     assert linalg.rank(m, F7) == 1
 
 
-def test_nullspace_and_solve():
+@FIELDS
+def test_nullspace_and_solve(field):
     rng = random.Random(5)
+    zero = field.zero()
     for _ in range(20):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = [[Fraction(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
-        basis = linalg.nullspace(m, QQ, cols)
-        assert linalg.rank(m, QQ) + len(basis) == cols
+        m = [[scalar(field, rng, -3, 3) for _ in range(cols)] for _ in range(rows)]
+        basis = linalg.nullspace(m, field, cols)
+        assert linalg.rank(m, field) + len(basis) == cols
         for v in basis:
-            image = [sum((m[i][j] * v[j] for j in range(cols)), Fraction(0)) for i in range(rows)]
-            assert all(x == 0 for x in image)
-        x = [Fraction(rng.randint(-2, 2)) for _ in range(cols)]
-        b = [sum((m[i][j] * x[j] for j in range(cols)), Fraction(0)) for i in range(rows)]
-        sol = linalg.solve(m, b, QQ)
+            assert mat_vec(m, v, field) == [zero] * rows
+        x = [scalar(field, rng, -2, 2) for _ in range(cols)]
+        b = mat_vec(m, x, field)
+        sol = linalg.solve(m, b, field)
         assert sol is not None
-        back = [sum((m[i][j] * sol[j] for j in range(cols)), Fraction(0)) for i in range(rows)]
-        assert back == b
+        assert mat_vec(m, sol, field) == b
+    assert linalg.nullspace([], field, 3) == linalg.mat_identity(3, field)
 
 
-def test_solve_inconsistent():
-    m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert linalg.solve(m, [Fraction(0), Fraction(1)], QQ) is None
+@FIELDS
+def test_solve_inconsistent(field):
+    one = field.one()
+    m = [[one, one], [one, one]]
+    assert linalg.solve(m, [field.zero(), one], field) is None
 
 
-def test_invert():
+@FIELDS
+def test_invert(field):
     rng = random.Random(3)
     for _ in range(10):
         n = rng.randint(1, 4)
-        m = random_invertible(QQ, n, rng)
-        inv = linalg.invert(m, QQ)
-        assert linalg.mat_mul(m, inv, QQ) == linalg.mat_identity(n, QQ)
-    with pytest.raises(ValueError):
-        linalg.invert([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], QQ)
+        m = random_invertible(field, n, rng)
+        inv = linalg.invert(m, field)
+        assert linalg.mat_mul(m, inv, field) == linalg.mat_identity(n, field)
+    assert linalg.invert([], field) == []
+    singular = [[field.from_int(1), field.from_int(2)], [field.from_int(2), field.from_int(4)]]
+    with pytest.raises(ValueError, match="matrix is singular"):
+        linalg.invert(singular, field)

@@ -15,11 +15,8 @@ from gradedk0.modules import (
     filtration_idempotent,
     filtration_window,
     graded_dimension,
-    mirror_decomposition,
     reduce_matrix,
-    shift_module,
     splitting_difference_check,
-    tp_blocks,
     unipotent_inverse,
     window_index,
 )
@@ -148,25 +145,25 @@ class TestConjugator:
     def test_mirror_also_conjugates(self):
         rng = random.Random(4)
         pres = random_idempotent(R2, rng)
-        dec = mirror_decomposition(pres)
+        dec = pres.mirror_decomposition
         reduced = GradedMatrix.from_base_blocks(R2, pres.shifts, dec.blocks)
         assert dec.u.compose(pres.matrix).compose(dec.u_inv) == reduced
 
 
 class TestTpBlocks:
     def test_worked_example(self):
-        blocks = tp_blocks(worked_presentation(R1))
+        blocks = worked_presentation(R1).decomposition.blocks
         assert blocks[(0, 0)] == [[Fraction(1)]]
         assert blocks[(1, 0)] == [[Fraction(0)]]
 
     def test_free_module(self):
         pres = IdempotentPresentation.free(R1, ((2, 0), (2, 0), (0, 1)))
-        blocks = tp_blocks(pres)
+        blocks = pres.decomposition.blocks
         assert blocks[(2, 0)] == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         assert blocks[(0, 1)] == [[Fraction(1)]]
 
     def test_zero_module(self):
-        assert tp_blocks(IdempotentPresentation.zero(R1)) == {}
+        assert IdempotentPresentation.zero(R1).decomposition.blocks == {}
 
 
 class TestFiltration:
@@ -217,9 +214,9 @@ class TestFiltration:
         left = random_idempotent(R1, rng, max_summands=2, shift_bound=3)
         right = random_idempotent(R1, rng, max_summands=2, shift_bound=3)
         both = left.direct_sum(right)
-        lb = tp_blocks(left)
-        rb = tp_blocks(right)
-        bb = tp_blocks(both)
+        lb = left.decomposition.blocks
+        rb = right.decomposition.blocks
+        bb = both.decomposition.blocks
         for b in set(lb) | set(rb):
             size_l = len(lb.get(b, []))
             size_r = len(rb.get(b, []))
@@ -365,7 +362,7 @@ class TestSplittingDifference:
 class TestShiftAndInverse:
     def test_shift_round_trip(self):
         pres = worked_presentation(R1)
-        back = shift_module(shift_module(pres, (2, 1)), (-2, -1))
+        back = pres.shifted((2, 1)).shifted((-2, -1))
         assert back == pres
 
     def test_unipotent_inverse(self):

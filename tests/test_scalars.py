@@ -16,7 +16,6 @@ from gradedk0.scalars import (
     base_ring_from_descriptor,
     is_prime,
     is_squarefree,
-    sign_quadratic,
 )
 
 F2 = QuadraticField(2)
@@ -34,29 +33,29 @@ f7_elems = st.integers(min_value=0, max_value=6).map(lambda v: PrimeFieldElem(v,
 
 class TestSignQuadratic:
     def test_both_positive(self):
-        assert sign_quadratic(q2(1, 1)) == 1
+        assert q2(1, 1).sign() == 1
 
     def test_mixed_sign_positive(self):
         # oracle: 3^2 = 9 > 2 * 2^2 = 8, so 3 - 2*sqrt(2) > 0
         assert 3**2 > 2 * 2**2
-        assert sign_quadratic(q2(3, -2)) == 1
+        assert q2(3, -2).sign() == 1
 
     def test_mixed_sign_negative(self):
         # oracle: 1^2 = 1 < 2 * 1^2
         assert 1 < 2
-        assert sign_quadratic(q2(1, -1)) == -1
+        assert q2(1, -1).sign() == -1
 
     def test_zero(self):
-        assert sign_quadratic(q2(0, 0)) == 0
+        assert q2(0, 0).sign() == 0
 
     def test_pure_parts(self):
-        assert sign_quadratic(q2(-3, 0)) == -1
-        assert sign_quadratic(q2(0, -2)) == -1
-        assert sign_quadratic(q2(0, 5)) == 1
+        assert q2(-3, 0).sign() == -1
+        assert q2(0, -2).sign() == -1
+        assert q2(0, 5).sign() == 1
 
     @given(quadratics, quadratics)
     def test_multiplicative(self, x, y):
-        assert sign_quadratic(x) * sign_quadratic(y) == sign_quadratic(x * y)
+        assert x.sign() * y.sign() == (x * y).sign()
 
     @given(quadratics, quadratics, quadratics)
     def test_translation_invariant_order(self, x, y, z):
@@ -76,7 +75,7 @@ class TestSignQuadratic:
     def test_float_agreement_away_from_zero(self, x):
         approx = float(x.a) + float(x.b) * math.sqrt(2)
         assume(abs(approx) > 1e-6)
-        assert sign_quadratic(x) == (1 if approx > 0 else -1)
+        assert x.sign() == (1 if approx > 0 else -1)
 
 
 class TestQuadraticArithmetic:
