@@ -17,7 +17,7 @@ import json
 import sys
 
 from .cones import enumerate_window
-from .errors import GradedK0Error, InternalCheckError, JobSyntaxError, JobValidationError
+from .errors import JobSyntaxError, JobValidationError
 from .jobspec import build_cone, build_module, build_ring, parse_job
 from .k0 import GradedRankClass, graded_rank, hilbert_table, verify_theorem_k0
 from .modules import (
@@ -35,6 +35,13 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_CHECK = 4
 EXIT_INTERNAL = 5
+
+# (exception types, stderr label, exit code): the first matching row wins
+EXIT_TABLE = (
+    (JobSyntaxError, "parse error", EXIT_PARSE),
+    ((JobValidationError, OSError, ValueError, ZeroDivisionError), "validation error", EXIT_VALIDATION),
+    (Exception, "internal error", EXIT_INTERNAL),
+)
 
 
 def _point_str(p) -> str:
@@ -419,27 +426,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, human, doc = args.handler(args)
-    except JobSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except JobValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except InternalCheckError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except GradedK0Error as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - exit-code contract
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        _, label, exit_code = next(row for row in EXIT_TABLE if isinstance(exc, row[0]))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exit_code
     if args.fmt == "machine":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

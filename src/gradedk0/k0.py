@@ -18,6 +18,7 @@ from . import linalg
 from .cones import LatticePoint, enumerate_window, vadd, vneg, vsub
 from .errors import InternalCheckError
 from .modules import (
+    DecomposedForm,
     IdempotentPresentation,
     filtration_walk,
     filtration_window,
@@ -202,6 +203,82 @@ def _check(name: str, passed: bool, detail=None) -> dict:
     return entry
 
 
+def xi_phi_identity(ring: GradedRing, dec: DecomposedForm):
+    """Realizing each block class and taking its graded rank gives it back."""
+    failures = []
+    for b, block in sorted(dec.blocks.items()):
+        cls = k0_of_idempotent(block, ring.base)
+        if cls.is_zero():
+            continue
+        got = graded_rank(phi_realize(cls, b, ring))
+        want = GradedRankClass.single(b, cls)
+        if got != want:
+            failures.append(
+                {"shift": list(b), "expected": want.serialize(), "got": got.serialize()}
+            )
+    return not failures, {"mismatches": failures}
+
+
+def filtration_consistency(
+    pres: IdempotentPresentation, dec: DecomposedForm, v: LatticePoint | None, window_k: int | None
+):
+    """Stages through the window start at 0, nest, have quotients of the block
+    classes and end at the whole module; the detail names the first failure."""
+    ring = pres.ring
+    if v is None:
+        v = ring.cone.interior_vector()
+    k = max(window_index(pres, v), window_k or 0)
+    for a, step in filtration_walk(pres, filtration_window(ring, v, k), graded_rank, dec):
+        cur = step.upper
+        if step.lower is None:
+            if not cur.matrix.is_zero():
+                return False, {
+                    "stage": list(a),
+                    "reason": "bottom filtration stage is nonzero",
+                    "matrix": cur.matrix.to_serializable(),
+                }
+            continue
+        if not step.nested:
+            return False, {
+                "stage": list(a),
+                "reason": "filtration stages do not nest",
+                "matrix": cur.matrix.to_serializable(),
+            }
+        block = dec.blocks.get(a)
+        want = (
+            GradedRankClass.single(a, k0_of_idempotent(block, ring.base))
+            if block is not None
+            else GradedRankClass.zero()
+        )
+        got = step.quotient_class
+        if got != want:
+            return False, {
+                "stage": list(a),
+                "reason": "quotient class differs from block class",
+                "matrix": step.quotient.matrix.to_serializable(),
+                "expected": want.serialize(),
+                "got": got.serialize(),
+            }
+    if cur.matrix != pres.matrix:
+        return False, {
+            "reason": "top filtration stage is not the whole module",
+            "matrix": cur.matrix.to_serializable(),
+        }
+    return True, None
+
+
+def l_linearity(pres: IdempotentPresentation, rank_class: GradedRankClass):
+    """Translating by a unit vector multiplies the graded rank by its monomial."""
+    failures = []
+    for axis in range(pres.ring.n):
+        unit = _unit(pres.ring.n, axis)
+        if graded_rank(pres.shifted(vneg(unit))) != rank_class.l_action(axis, 1):
+            failures.append({"axis": axis, "direction": +1})
+        if graded_rank(pres.shifted(unit)) != rank_class.l_action(axis, -1):
+            failures.append({"axis": axis, "direction": -1})
+    return not failures, {"mismatches": failures}
+
+
 def verify_theorem_k0(
     pres: IdempotentPresentation,
     v: LatticePoint | None = None,
@@ -214,108 +291,24 @@ def verify_theorem_k0(
     through the enumerated window with quotient classes matching block
     classes; and monomial-action linearity of the graded rank under the
     translation functor.  The report carries one pass/fail entry per check
-    and the graded rank of the presentation.
+    and the graded rank of the presentation.  The checks after the first
+    need the decomposition and are skipped without it.
     """
-    ring = pres.ring
-    checks = []
-
     try:
         dec = pres.decomposition
-        checks.append(_check("lemma_reconstruction", True))
+        checks = [_check("lemma_reconstruction", True)]
     except InternalCheckError as exc:
-        checks.append(
-            _check(
-                "lemma_reconstruction",
-                False,
-                {"error": str(exc), "matrix": pres.matrix.to_serializable()},
-            )
-        )
         dec = None
-
-    if dec is not None:
-        failures = []
-        for b, block in sorted(dec.blocks.items()):
-            cls = k0_of_idempotent(block, ring.base)
-            if cls.is_zero():
-                continue
-            realized = phi_realize(cls, b, ring)
-            got = graded_rank(realized)
-            want = GradedRankClass.single(b, cls)
-            if got != want:
-                failures.append(
-                    {"shift": list(b), "expected": want.serialize(), "got": got.serialize()}
-                )
-        checks.append(_check("xi_phi_identity", not failures, {"mismatches": failures}))
-    else:
-        checks.append(_check("xi_phi_identity", False, {"skipped": "no decomposition"}))
-
-    if dec is not None:
-        detail = None
-        ok = True
-        if v is None:
-            v = ring.cone.interior_vector()
-        k_min = window_index(pres, v)
-        k = max(k_min, window_k or 0)
-        window = filtration_window(ring, v, k)
-        base = ring.base
-        for a, step in filtration_walk(pres, window, graded_rank, dec):
-            cur = step.upper
-            if step.lower is None:
-                if not cur.matrix.is_zero():
-                    ok, detail = False, {
-                        "stage": list(a),
-                        "reason": "bottom filtration stage is nonzero",
-                        "matrix": cur.matrix.to_serializable(),
-                    }
-                    break
-                continue
-            if not step.nested:
-                ok, detail = False, {
-                    "stage": list(a),
-                    "reason": "filtration stages do not nest",
-                    "matrix": cur.matrix.to_serializable(),
-                }
-                break
-            block = dec.blocks.get(a)
-            want = (
-                GradedRankClass.single(a, k0_of_idempotent(block, base))
-                if block is not None
-                else GradedRankClass.zero()
-            )
-            got = step.quotient_class
-            if got != want:
-                ok, detail = False, {
-                    "stage": list(a),
-                    "reason": "quotient class differs from block class",
-                    "matrix": step.quotient.matrix.to_serializable(),
-                    "expected": want.serialize(),
-                    "got": got.serialize(),
-                }
-                break
-        if ok and cur.matrix != pres.matrix:
-            ok, detail = False, {
-                "reason": "top filtration stage is not the whole module",
-                "matrix": cur.matrix.to_serializable(),
-            }
-        checks.append(_check("filtration_consistency", ok, detail))
-    else:
-        checks.append(_check("filtration_consistency", False, {"skipped": "no decomposition"}))
-
+        detail = {"error": str(exc), "matrix": pres.matrix.to_serializable()}
+        checks = [_check("lemma_reconstruction", False, detail)]
     rank_class = graded_rank(pres) if dec is not None else GradedRankClass.zero()
-    failures = []
-    if dec is not None:
-        for axis in range(ring.n):
-            unit = _unit(ring.n, axis)
-            up = graded_rank(pres.shifted(vneg(unit)))
-            if up != rank_class.l_action(axis, 1):
-                failures.append({"axis": axis, "direction": +1})
-            down = graded_rank(pres.shifted(unit))
-            if down != rank_class.l_action(axis, -1):
-                failures.append({"axis": axis, "direction": -1})
-        checks.append(_check("l_linearity", not failures, {"mismatches": failures}))
-    else:
-        checks.append(_check("l_linearity", False, {"skipped": "no decomposition"}))
-
+    table = (
+        ("xi_phi_identity", lambda: xi_phi_identity(pres.ring, dec)),
+        ("filtration_consistency", lambda: filtration_consistency(pres, dec, v, window_k)),
+        ("l_linearity", lambda: l_linearity(pres, rank_class)),
+    )
+    skipped = (False, {"skipped": "no decomposition"})
+    checks += [_check(name, *(skipped if dec is None else run())) for name, run in table]
     return {
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),

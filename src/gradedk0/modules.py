@@ -7,8 +7,9 @@ Conventions, fixed once and used everywhere:
   ⊕_i R(-b_i); elements are columns over the shift list.
 * A degree-preserving map between shifted free modules with target shifts
   (b_1..b_r) and source shifts (c_1..c_s) is an r x s matrix whose (i, j)
-  entry is homogeneous of degree c_j - b_i (zero when that degree is outside
-  the cone, forced by the ring itself).
+  entry is homogeneous of degree c_j - b_i, so it is one base scalar (zero
+  when that degree is outside the cone, forced by the ring itself).  Matrices
+  compute on these scalars; ring elements appear only on the way in and out.
 * Reducing a square matrix coefficientwise onto the degree-0 part kills
   every entry between distinct shifts, so the reduction is block diagonal
   over the distinct shift values; the block at b presents the degree-b piece
@@ -32,6 +33,7 @@ can legitimately trigger it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,9 +55,13 @@ def _as_shifts(shifts, n: int) -> ShiftList:
 
 
 class GradedMatrix:
-    """Degree-preserving map between shifted free modules, stored entrywise."""
+    """Degree-preserving map between shifted free modules, stored as `scalars`:
+    rows of base scalars, entry (i, j) the coefficient at degree
+    source[j] - target[i].  Ring elements are checked on the way in (the
+    constructor) and rebuilt on the way out (`entries`); arithmetic results
+    are graded by construction and built unchecked by `_of`."""
 
-    __slots__ = ("ring", "target", "source", "entries")
+    __slots__ = ("ring", "target", "source", "scalars")
 
     def __init__(self, ring: GradedRing, target, source, entries) -> None:
         target = _as_shifts(target, ring.n)
@@ -74,39 +80,51 @@ class GradedMatrix:
                     raise ValueError(
                         f"entry ({i},{j}) must be homogeneous of degree {need}"
                     )
-        self.ring = ring
-        self.target = target
-        self.source = source
-        self.entries = rows
+        self.ring, self.target, self.source = ring, target, source
+        self.scalars = tuple(
+            tuple(x.graded_piece(vsub(c, b)) for c, x in zip(source, row))
+            for b, row in zip(target, rows)
+        )
+
+    @classmethod
+    def _of(cls, ring: GradedRing, target: ShiftList, source: ShiftList, rows) -> "GradedMatrix":
+        """Trusted build from rows of base scalars that are graded by construction."""
+        m = object.__new__(cls)
+        m.ring, m.target, m.source, m.scalars = ring, target, source, tuple(map(tuple, rows))
+        return m
+
+    @property
+    def entries(self):
+        """Rows of ring elements: scalar (i, j) at degree source[j] - target[i]."""
+        ring, is_zero = self.ring, self.ring.base.is_zero
+        return tuple(
+            tuple(
+                RingElem(ring, {} if is_zero(x) else {vsub(c, b): x}, _validated=True)
+                for c, x in zip(self.source, row)
+            )
+            for b, row in zip(self.target, self.scalars)
+        )
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, ring: GradedRing, target, source) -> "GradedMatrix":
-        z = ring.zero()
-        return cls(
-            ring, target, source, [[z for _ in source] for _ in target]
-        )
+        target, source = _as_shifts(target, ring.n), _as_shifts(source, ring.n)
+        return cls._of(ring, target, source, [[ring.base.zero()] * len(source) for _ in target])
 
     @classmethod
     def identity(cls, ring: GradedRing, shifts) -> "GradedMatrix":
         shifts = _as_shifts(shifts, ring.n)
-        one, zero = ring.one(), ring.zero()
-        return cls(
-            ring,
-            shifts,
-            shifts,
-            [[one if i == j else zero for j in range(len(shifts))] for i in range(len(shifts))],
-        )
+        return cls._of(ring, shifts, shifts, linalg.mat_identity(len(shifts), ring.base))
 
     @classmethod
     def from_base_blocks(cls, ring: GradedRing, shifts, blocks) -> "GradedMatrix":
         """Degree-0 square matrix whose same-shift slots carry the given base blocks."""
         shifts = _as_shifts(shifts, ring.n)
         positions = shift_positions(shifts)
-        zero = ring.zero()
+        base = ring.base
         r = len(shifts)
-        entries = [[zero for _ in range(r)] for _ in range(r)]
+        rows = [[base.zero()] * r for _ in range(r)]
         for b, block in blocks.items():
             idx = positions.get(tuple(int(x) for x in b))
             if idx is None:
@@ -115,8 +133,8 @@ class GradedMatrix:
                 raise ValueError(f"block at {b} has wrong size")
             for bi, i in enumerate(idx):
                 for bj, j in enumerate(idx):
-                    entries[i][j] = ring.constant(block[bi][bj])
-        return cls(ring, shifts, shifts, entries)
+                    rows[i][j] = base.coerce(block[bi][bj])
+        return cls._of(ring, shifts, shifts, rows)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -125,47 +143,44 @@ class GradedMatrix:
             raise ValueError("mixed ring contexts")
         if self.source != other.target:
             raise ValueError("shift mismatch in composition")
-        zero = self.ring.zero()
+        is_zero, zero = self.ring.base.is_zero, self.ring.base.zero()
         nonzero = [
-            [(j, x) for j, x in enumerate(row) if not x.is_zero()]
-            for row in other.entries
+            [(j, x) for j, x in enumerate(row) if not is_zero(x)]
+            for row in other.scalars
         ]
         out = []
-        for left_row in self.entries:
+        for left_row in self.scalars:
             row = [zero] * len(other.source)
             # ascending k: each entry sums its products in triple-loop order
             for left, pairs in zip(left_row, nonzero):
-                if left.is_zero():
+                if is_zero(left):
                     continue
                 for j, right in pairs:
                     row[j] = row[j] + left * right
             out.append(row)
-        return GradedMatrix(self.ring, self.target, other.source, out)
+        return GradedMatrix._of(self.ring, self.target, other.source, out)
 
-    def add(self, other: "GradedMatrix") -> "GradedMatrix":
+    def _entrywise(self, other: "GradedMatrix", op) -> "GradedMatrix":
         if self.ring != other.ring:
             raise ValueError("mixed ring contexts")
         if self.target != other.target or self.source != other.source:
             raise ValueError("shift mismatch in addition")
-        out = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.entries, other.entries)
-        ]
-        return GradedMatrix(self.ring, self.target, self.source, out)
+        rows = [map(op, ra, rb) for ra, rb in zip(self.scalars, other.scalars)]
+        return GradedMatrix._of(self.ring, self.target, self.source, rows)
 
-    def neg(self) -> "GradedMatrix":
-        return GradedMatrix(
-            self.ring,
-            self.target,
-            self.source,
-            [[-x for x in row] for row in self.entries],
-        )
+    def add(self, other: "GradedMatrix") -> "GradedMatrix":
+        return self._entrywise(other, operator.add)
 
     def sub(self, other: "GradedMatrix") -> "GradedMatrix":
-        return self.add(other.neg())
+        return self._entrywise(other, operator.sub)
+
+    def neg(self) -> "GradedMatrix":
+        rows = [map(operator.neg, row) for row in self.scalars]
+        return GradedMatrix._of(self.ring, self.target, self.source, rows)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+        is_zero = self.ring.base.is_zero
+        return all(is_zero(x) for row in self.scalars for x in row)
 
     def is_idempotent(self) -> bool:
         return self.compose(self) == self
@@ -177,7 +192,7 @@ class GradedMatrix:
             self.ring == other.ring
             and self.target == other.target
             and self.source == other.source
-            and self.entries == other.entries
+            and self.scalars == other.scalars
         )
 
     def __repr__(self):
@@ -257,15 +272,12 @@ class IdempotentPresentation:
         if self.ring != other.ring:
             raise ValueError("mixed ring contexts")
         shifts = self.shifts + other.shifts
-        zero = self.ring.zero()
+        zero = self.ring.base.zero()
         r, s = len(self.shifts), len(other.shifts)
-        entries = []
-        for i in range(r):
-            entries.append(list(self.matrix.entries[i]) + [zero] * s)
-        for i in range(s):
-            entries.append([zero] * r + list(other.matrix.entries[i]))
+        rows = [row + (zero,) * s for row in self.matrix.scalars]
+        rows += [(zero,) * r + row for row in other.matrix.scalars]
         return IdempotentPresentation(
-            self.ring, shifts, GradedMatrix(self.ring, shifts, shifts, entries)
+            self.ring, shifts, GradedMatrix._of(self.ring, shifts, shifts, rows)
         )
 
     def shifted(self, translation) -> "IdempotentPresentation":
@@ -273,7 +285,7 @@ class IdempotentPresentation:
         translation + a of the original, i.e. every shift drops by translation."""
         translation = tuple(int(x) for x in translation)
         shifts = tuple(vsub(b, translation) for b in self.shifts)
-        m = GradedMatrix(self.ring, shifts, shifts, self.matrix.entries)
+        m = GradedMatrix._of(self.ring, shifts, shifts, self.matrix.scalars)
         return IdempotentPresentation(self.ring, shifts, m)
 
     def __eq__(self, other):
@@ -296,14 +308,11 @@ def reduce_matrix(pres: IdempotentPresentation) -> dict:
     nonzero cone point), so only the same-shift blocks survive; each block is
     idempotent over the base.
     """
-    positions = shift_positions(pres.shifts)
-    e = pres.matrix.entries
-    blocks = {}
-    for b, idx in positions.items():
-        blocks[b] = [
-            [e[i][j].reduce_mod_plus() for j in idx] for i in idx
-        ]
-    return blocks
+    s = pres.matrix.scalars
+    return {
+        b: [[s[i][j] for j in idx] for i in idx]
+        for b, idx in shift_positions(pres.shifts).items()
+    }
 
 
 def _nilpotency_bound(ring: GradedRing, target: ShiftList, source: ShiftList) -> int:
@@ -336,9 +345,10 @@ def unipotent_inverse(m: GradedMatrix) -> GradedMatrix:
     if m.target != m.source:
         raise ValueError("unipotent inverse requires a square matrix")
     ident = GradedMatrix.identity(m.ring, m.target)
-    for i, row in enumerate(m.sub(ident).entries):
-        for entry in row:
-            if not entry.is_zero() and not m.ring.order.is_positive(entry.degree()):
+    is_zero, order = m.ring.base.is_zero, m.ring.order
+    for b, row in zip(m.target, m.sub(ident).scalars):
+        for c, x in zip(m.source, row):
+            if not is_zero(x) and not order.is_positive(vsub(c, b)):
                 raise ValueError("matrix is not 1 plus positive-degree terms")
     return _geometric_inverse(m, _nilpotency_bound(m.ring, m.target, m.source))
 
@@ -372,10 +382,10 @@ def _conjugate(pres: IdempotentPresentation, mirror: bool) -> DecomposedForm:
         raise InternalCheckError("geometric-series inverse failed")
     if ue.compose(u_inv) != reduced:
         raise InternalCheckError("conjugated matrix is not the reduced form")
-    for i, row in enumerate(u.entries):
-        for j, entry in enumerate(row):
-            want = base.one() if i == j else base.zero()
-            if entry.reduce_mod_plus() != want:
+    # entries between equal shifts are the degree-0 part: there u must be 1
+    for i, row in enumerate(u.scalars):
+        for j, x in enumerate(row):
+            if pres.shifts[i] == pres.shifts[j] and x != (base.one() if i == j else base.zero()):
                 raise InternalCheckError("conjugator is not 1 modulo positive degrees")
     return DecomposedForm(blocks=blocks, u=u, u_inv=u_inv, nilpotency_bound=bound)
 
@@ -499,21 +509,23 @@ def window_index(pres: IdempotentPresentation, v: LatticePoint) -> int:
     shifts = _nonzero_blocks(pres.ring.base, pres.decomposition.blocks)
     order = pres.ring.order
     cone = pres.ring.cone
-    k = 0
-    while True:
+
+    def fits(k: int) -> bool:
         high = vscale(k, v)
-        low = vneg(high)
-        ok = all(
-            cone.contains(vadd(b, high))
-            and order.leq(b, high)
-            and not order.leq(b, low)
+        return all(
+            cone.contains(vadd(b, high)) and order.leq(b, high) and not order.leq(b, vneg(high))
             for b in shifts
         )
-        if ok:
-            return k
-        k += 1
-        if k > 100_000:
-            raise InternalCheckError("window index search did not terminate")
+
+    # fits is monotone in k, since v lies in C and has a positive order value:
+    # double past the answer, then bisect, keeping fits(hi) and not fits(lo)
+    lo, hi = -1, 0
+    while not fits(hi):
+        lo, hi = hi, max(1, 2 * hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
 
 
 def graded_dimension(pres: IdempotentPresentation, a) -> int:
@@ -526,14 +538,8 @@ def graded_dimension(pres: IdempotentPresentation, a) -> int:
     active = [i for i, b in enumerate(pres.shifts) if cone.contains(vsub(a, b))]
     if not active:
         return 0
-    e = pres.matrix.entries
-    m = [
-        [
-            e[i][j].graded_piece(vsub(pres.shifts[j], pres.shifts[i]))
-            for j in active
-        ]
-        for i in active
-    ]
+    s = pres.matrix.scalars
+    m = [[s[i][j] for j in active] for i in active]
     return linalg.rank(m, base)
 
 
@@ -542,11 +548,11 @@ def _embed_block_column(
 ) -> GradedMatrix:
     """Column vector over the free cover, supported on the summands at `shift`."""
     idx = shift_positions(pres.shifts)[shift]
-    zero = pres.ring.zero()
-    col = [[zero] for _ in pres.shifts]
+    base = pres.ring.base
+    col = [[base.zero()] for _ in pres.shifts]
     for pos, i in enumerate(idx):
-        col[i][0] = pres.ring.constant(column[pos])
-    return GradedMatrix(pres.ring, pres.shifts, (shift,), col)
+        col[i][0] = base.coerce(column[pos])
+    return GradedMatrix._of(pres.ring, pres.shifts, (shift,), col)
 
 
 def splitting_difference_check(

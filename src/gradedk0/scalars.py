@@ -20,6 +20,7 @@ All values are immutable; mixed-context operations raise ``ValueError``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -28,10 +29,12 @@ from fractions import Fraction
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+PRIME_TEST_PROVEN = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any modulus used here."""
+    """Miller-Rabin with the twelve prime bases up to 37: proven deterministic
+    below PRIME_TEST_PROVEN (about 3.2 * 10^23)."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -55,19 +58,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache
 def is_squarefree(n: int) -> bool:
+    """Trial division below 10^6, then the cofactor m (prime factors >= 10^6):
+    squarefree if 1 or a proven prime; below 10^18 it has at most two prime
+    factors, so squarefree iff not a square; otherwise over budget (ValueError)."""
     if n < 1:
         return False
     m = n
     p = 2
-    while p * p <= m:
+    while p < 10**6 and p * p <= m:
         if m % p == 0:
             m //= p
             if m % p == 0:
                 return False
         else:
             p += 1
-    return True
+    if p * p > m or (m < PRIME_TEST_PROVEN and is_prime(m)):
+        return True
+    if m < 10**18:
+        return math.isqrt(m) ** 2 != m
+    raise ValueError(f"squarefree test of {n} is over budget: cofactor >= 10^18 is not a proven prime")
 
 
 def rational_sign(x: Fraction) -> int:

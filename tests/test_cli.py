@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import jsonschema
 import pytest
 
 import gradedk0.cli as cli_module
+from gradedk0.scalars import is_squarefree
 from conftest import run_python
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -189,6 +191,32 @@ class TestExitCodes:
         assert code == 2
         assert "parse error" in err
 
+    def test_job_path_is_directory_is_three(self, cli, tmp_path):
+        code, _, err = cli(["k0", "--job", str(tmp_path)])
+        assert code == 3
+        assert "validation error" in err
+
+    @pytest.mark.parametrize("command", ["verify", "filtration"])
+    def test_far_apart_shifts_are_three_quickly(self, cli, tmp_path, command):
+        one = [{"exp": [0, 0], "coef": "1"}]
+        job = write_job(
+            tmp_path,
+            {
+                "scalars": "rational",
+                "base": "rational",
+                "cone": {"generators": [["1", "0"], ["0", "1"]]},
+                "module": {
+                    "shifts": [[0, 0], [10**6, 0]],
+                    "idempotent": [[one, []], [[], one]],
+                },
+            },
+        )
+        start = time.perf_counter()
+        code, _, err = cli([command, "--job", job])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "enumeration window is too large" in err
+
     def test_internal_error_is_five(self, cli, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("deliberate fault")
@@ -197,6 +225,41 @@ class TestExitCodes:
         code, _, err = cli(["enumerate", "--example", "R1", "--bound", "2"])
         assert code == 5
         assert "internal error" in err
+
+
+class TestRadicand:
+    """A quadratic base is checked once per radicand, in bounded time."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        is_squarefree.cache_clear()
+
+    @pytest.mark.parametrize("d", [1000000007, 2**61 - 1])
+    def test_large_prime_radicand_is_quick(self, cli, d):
+        start = time.perf_counter()
+        code, out, _ = cli(["k0", "--example", "R1", "--base", f"quadratic:{d}"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.strip() == "t^(0,0)"
+
+    def test_verify_with_large_prime_radicand(self, cli):
+        code, out, _ = cli(["verify", "--example", "R1", "--base", "quadratic:1000000007"])
+        assert code == 0
+        assert out.splitlines()[-1] == "result: all checks passed"
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ((10**6 + 3) * (10**12 + 39), "over budget"),
+            ((10**7 + 19) ** 2, "must be squarefree"),
+        ],
+    )
+    def test_undecided_or_square_radicand_is_three(self, cli, d, message):
+        start = time.perf_counter()
+        code, _, err = cli(["k0", "--example", "R1", "--base", f"quadratic:{d}"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert message in err
 
 
 class TestModuleEntryPoints:

@@ -8,6 +8,8 @@ import pytest
 import gradedk0.k0 as k0_module
 import gradedk0.modules as modules_module
 from gradedk0.cones import enumerate_window
+from gradedk0.errors import InternalCheckError
+from gradedk0.jobspec import job_from_module, serialize_job
 from gradedk0.k0 import (
     GradedRankClass,
     K0Class,
@@ -400,3 +402,72 @@ class TestIntegerBase:
     def test_integer_base_not_allowed_in_products(self):
         with pytest.raises(ValueError):
             ProductRing([QQ, ZZ])
+
+
+class TestCheckFaults:
+    """Each entry of the verification table fails, and is reported through the
+    CLI, when the construction it checks is broken."""
+
+    @pytest.fixture
+    def job(self, tmp_path):
+        pres = IdempotentPresentation.free(R1, ((0, 0), (1, 0)))
+        path = tmp_path / "job.json"
+        path.write_text(serialize_job(job_from_module(R1, pres, "rational", "rational")))
+        return str(path)
+
+    @staticmethod
+    def failed(job, name):
+        """Detail of the named check, after asserting it failed with exit 4."""
+        code, out, _ = run_cli(["verify", "--job", job])
+        assert code == 4
+        assert f"  failed check: {name}" in out.splitlines()
+        code, out, _ = run_cli(["verify", "--job", job, "--format", "machine"])
+        assert code == 4
+        (check,) = [c for c in json.loads(out)["samples"][0]["checks"] if c["name"] == name]
+        assert not check["passed"]
+        return check["detail"]
+
+    def test_wrong_realization(self, job, monkeypatch):
+        monkeypatch.setattr(k0_module, "phi_realize", lambda x, b, ring: IdempotentPresentation.zero(ring))
+        assert self.failed(job, "xi_phi_identity")["mismatches"]
+
+    def test_untranslated_shift(self, job, monkeypatch):
+        monkeypatch.setattr(IdempotentPresentation, "shifted", lambda self, translation: self)
+        assert self.failed(job, "l_linearity")["mismatches"] == [
+            {"axis": axis, "direction": d} for axis in (0, 1) for d in (1, -1)
+        ]
+
+    def test_bottom_stage_is_whole_module(self, job, monkeypatch):
+        monkeypatch.setattr(modules_module, "filtration_idempotent", lambda pres, a, dec=None: pres)
+        detail = self.failed(job, "filtration_consistency")
+        assert detail["reason"] == "bottom filtration stage is nonzero"
+
+    def test_stages_do_not_nest(self, job, monkeypatch):
+        real = modules_module.filtration_idempotent
+        below = {}
+
+        def top_without_stage_below(pres, a, dec=None):
+            stage = real(pres, a, dec)
+            previous = below.get(id(pres))
+            if previous is not None and stage.matrix == pres.matrix:
+                # the complement of the stage below: the two do not nest
+                return IdempotentPresentation(
+                    pres.ring, pres.shifts, pres.matrix.sub(previous.matrix)
+                )
+            below[id(pres)] = stage
+            return stage
+
+        monkeypatch.setattr(modules_module, "filtration_idempotent", top_without_stage_below)
+        detail = self.failed(job, "filtration_consistency")
+        assert detail["reason"] == "filtration stages do not nest"
+        assert detail["stage"] == [1, 0]
+
+    def test_failed_conjugation_skips_the_rest(self, job, monkeypatch):
+        def fail(pres, mirror):
+            raise InternalCheckError("conjugation identity failed")
+
+        monkeypatch.setattr(modules_module, "_conjugate", fail)
+        detail = self.failed(job, "lemma_reconstruction")
+        assert detail["error"] == "conjugation identity failed"
+        for name in ("xi_phi_identity", "filtration_consistency", "l_linearity"):
+            assert self.failed(job, name) == {"skipped": "no decomposition"}

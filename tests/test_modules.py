@@ -433,6 +433,91 @@ class TestComposeProperty:
         assert [list(row) for row in got.entries] == want
 
 
+class TestScalarCore:
+    """Arithmetic results are built unchecked from base scalars; each must equal
+    its entries passed through the checking constructor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_results_pass_the_checking_constructor(self, data):
+        ring = data.draw(st.sampled_from(COMPOSE_RINGS))
+        pool = data.draw(st.lists(_points, min_size=1, max_size=3))
+        shifts = st.lists(st.sampled_from(pool), min_size=0, max_size=4)
+        target, middle, source = data.draw(shifts), data.draw(shifts), data.draw(shifts)
+        a = _random_graded_matrix(data, ring, target, middle)
+        a2 = _random_graded_matrix(data, ring, target, middle)
+        b = _random_graded_matrix(data, ring, middle, source)
+        seed = data.draw(st.integers(0, 10**6))
+        pres = random_idempotent(ring, random.Random(seed), max_summands=3, shift_bound=3)
+        moved = pres.shifted(data.draw(_points))
+        results = [
+            a.compose(b),
+            a.add(a2),
+            a.sub(a2),
+            a.neg(),
+            moved.matrix,
+            pres.direct_sum(moved).matrix,
+        ]
+        for m in results:
+            rebuilt = GradedMatrix(ring, m.target, m.source, m.entries)
+            assert rebuilt == m
+            assert rebuilt.scalars == m.scalars
+        assert a.sub(a2) == a.add(a2.neg())
+        assert a.neg().neg() == a
+
+    def test_entries_place_each_scalar_at_its_degree(self):
+        e = worked_presentation(R1).matrix
+        assert e.scalars == ((1, 1), (0, 0))
+        assert e.entries == ((R1.one(), R1.monomial((1, 0))), (R1.zero(), R1.zero()))
+
+    @pytest.mark.parametrize(
+        "entry", [R1.monomial((0, 1)), R1.monomial((1, 0)) + R1.one()]
+    )
+    def test_constructor_still_checks_degrees(self, entry):
+        with pytest.raises(ValueError, match=r"entry \(0,1\) must be homogeneous of degree \(1, 0\)"):
+            GradedMatrix(R1, SHIFTS, SHIFTS, [[R1.one(), entry], [R1.zero(), R1.zero()]])
+
+
+def _linear_window_index(pres, v):
+    """Reference: the plain search upward from k = 0."""
+    ring, base = pres.ring, pres.ring.base
+    shifts = [
+        b
+        for b, block in pres.decomposition.blocks.items()
+        if any(not base.is_zero(x) for row in block for x in row)
+    ]
+
+    def fits(k):
+        high = vscale(k, v)
+        return all(
+            ring.cone.contains(vadd(b, high))
+            and ring.order.leq(b, high)
+            and not ring.order.leq(b, vscale(-k, v))
+            for b in shifts
+        )
+
+    k = 0
+    while not fits(k):
+        k += 1
+    return k
+
+
+class TestWindowIndexSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["R1", "R2", "R3"]),
+        seed=st.integers(0, 10**6),
+        translation=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+        scale=st.integers(1, 3),
+    )
+    def test_matches_linear_search(self, name, seed, translation, scale):
+        ring = preset_ring(name)
+        pres = random_idempotent(ring, random.Random(seed), max_summands=4, shift_bound=8)
+        pres = pres.shifted(translation)
+        v = vscale(scale, ring.cone.interior_vector())
+        assert window_index(pres, v) == _linear_window_index(pres, v)
+
+
 def _spread_presentation(ring, s):
     """e = P^-1 D P on shifts (0,0), (s,0), (2s,0); reduced blocks [[1]], [[0]], [[1]]."""
     shifts = ((0, 0), (s, 0), (2 * s, 0))

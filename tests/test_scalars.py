@@ -213,6 +213,25 @@ class TestIntegerPredicates:
     def test_prime(self):
         assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
+    def test_squarefree_beyond_trial_division(self):
+        p, q = 10**6 + 3, 10**7 + 19  # both prime
+        assert is_squarefree(2**61 - 1)
+        assert is_squarefree(p * q) and is_squarefree(2 * 3 * p * q)
+        assert not is_squarefree(q * q) and not is_squarefree(5 * q * q)
+        assert not is_squarefree(4 * (2**61 - 1))
+
+    def test_squarefree_over_budget_raises(self):
+        with pytest.raises(ValueError, match="over budget"):
+            is_squarefree((10**6 + 3) * (10**12 + 39))
+
+    def test_squarefree_agrees_with_trial_division(self):
+        def by_trial(n):
+            return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(1, 2000) if is_squarefree(n)] == [
+            n for n in range(1, 2000) if by_trial(n)
+        ]
+
     def test_quadratic_context_requires_squarefree(self):
         with pytest.raises(ValueError):
             QuadraticField(12)
